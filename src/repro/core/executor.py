@@ -76,6 +76,11 @@ class Executor(ABC):
     ) -> None:
         if n_workers < 1:
             raise ValueError("n_workers must be >= 1")
+        if obs is not None and not isinstance(obs, Observability):
+            raise TypeError(
+                f"obs must be an Observability bundle or None, got "
+                f"{type(obs).__name__}; pass trace_path= to trace to a file"
+            )
         self.n_workers = int(n_workers)
         #: acceleration-tier overrides for every run: ``accel`` names
         #: the array namespace ("numpy" | "cupy" | "torch"), ``fused``
@@ -184,9 +189,8 @@ class Executor(ABC):
     def _release(self) -> None:
         """Subclass hook, called exactly once by the first :meth:`close`.
 
-        Today's backends acquire everything per :meth:`run` and release
-        it there, so the default is a no-op; persistent-resource
-        backends override this.
+        The default is a no-op; backends that hold resources between
+        runs (the local backend's resident ranks) override it.
         """
 
     def reset(self) -> None:
@@ -194,9 +198,9 @@ class Executor(ABC):
 
         The pool calls this between leases so one instance serves many
         jobs.  Per-run state on the built-in backends is already scoped
-        to :meth:`run`; reset clears the cross-run knobs a job service
-        sets per lease (``job_id``) and recorded observability, and
-        refuses on a closed executor.
+        to :meth:`run`, and resident ranks stay up; reset clears the
+        cross-run knobs a job service sets per lease (``job_id``) and
+        recorded observability, and refuses on a closed executor.
         """
         self._check_open("reset")
         self.job_id = None

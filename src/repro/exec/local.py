@@ -1,17 +1,29 @@
-"""Real parallel execution on ``multiprocessing`` workers.
+"""Real parallel execution on resident ``multiprocessing`` ranks.
 
 One OS process per rank runs the full GPMR worker dataflow
-(:mod:`repro.exec.dataflow`).  Chunk distribution is **pull-based**:
-instead of receiving a precomputed chunk list, each rank requests
-chunks at runtime from a driver-side
-:class:`~repro.core.scheduler.ChunkService` — a service thread answers
-``(rank)`` requests arriving on a shared queue with per-rank grant
-messages carrying ``(chunk, victim)``.  An idle rank therefore steals
-work from the longest queue *while the run executes* (the paper's
-dynamic load balancing, for real), every grant lands in a recorded
-:class:`~repro.core.scheduler.ScheduleTrace` returned as
+(:mod:`repro.exec.dataflow`).  The ranks are **resident**: the first
+:meth:`LocalExecutor.run` spawns them together with their queues and
+the driver's chunk-service thread, and every later run reuses all of
+it.  A run ships the job — pickled once — plus that run's rank
+settings (tracing flag, :class:`~repro.core.faults.FaultPlan` kill
+ordinal, stall) to each rank over a per-rank control queue; the rank
+runs the job and goes back to waiting for the next one.  ``close()``
+(or the executor being collected unclosed) terminates and joins the
+ranks; a run that fails tears them down so the next run starts clean.
+
+Chunk distribution is **pull-based**: each rank requests chunks at
+runtime from the run's driver-side
+:class:`~repro.core.scheduler.ChunkService` — the service thread
+answers ``(kind, rank, run)`` requests arriving on a shared queue with
+per-rank grant messages carrying ``(chunk, victim)``.  An idle rank
+therefore steals work from the longest queue *while the run executes*
+(the paper's dynamic load balancing, for real), every grant lands in a
+recorded :class:`~repro.core.scheduler.ScheduleTrace` returned as
 ``JobResult.schedule``, and a supplied ``schedule=`` makes the service
-replay a recorded trace grant-for-grant instead.
+replay a recorded trace grant-for-grant instead.  Requests and grants
+carry the run's sequence number, so a message left over from an
+earlier run (a killed rank's pipelined request, a late "posted"
+marker) is dropped instead of leaking into the next job.
 
 The "network fabric" is a ``multiprocessing.Queue`` per rank used as a
 *control* channel: after its map phase a rank posts exactly one batch
@@ -26,14 +38,20 @@ keeps the original pickled-list messages as a measurable baseline.
 Receivers order batches by source rank, which makes the shuffle
 canonical and the run deterministic for a given schedule.
 
+Every wait on this path is woken by an event: ranks block on their
+control and grant queues, the service thread on the request queue
+(a stop sentinel ends it), and the driver on the result queue *and*
+the rank processes' exit sentinels at once, so a dead rank is seen
+the moment it dies.
+
 Failure handling: a worker that raises ships its traceback to the
 driver over the result queue and still posts (empty) batches to every
 peer it had not already posted to, so peers cannot deadlock and no peer
 ever receives two batches from the same source; the driver re-raises as
-:class:`WorkerFailure`.  A worker that dies hard (e.g. killed) is
-caught by the driver's liveness watch; a worker that exits *cleanly*
-without reporting a result is detected the same way instead of being
-waited out.  After any run the driver drains the shuffle queues and
+:class:`WorkerFailure`.  A worker that dies hard (e.g. killed), or
+exits *cleanly* mid-run without reporting a result, is caught by the
+driver's liveness watch instead of being waited out.  After a failed
+run the driver terminates the ranks, drains the shuffle queues and
 unlinks undelivered shared-memory segments.
 
 Timing is real wall-clock: each worker buckets its map / exchange
@@ -46,11 +64,14 @@ from __future__ import annotations
 
 import multiprocessing as mp
 import os
+import pickle
 import queue as queue_mod
 import signal
 import threading
 import time
 import traceback
+import weakref
+from multiprocessing.connection import wait as wait_connections
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from .dataflow import MapRunner, merge_incoming, reduce_worker
@@ -113,11 +134,12 @@ def dead_worker_failure(procs) -> Optional["WorkerFailure"]:
 class _PullChunkSource:
     """Worker-side half of the local pull protocol.
 
-    ``next()`` posts ``("req", rank)`` on the shared request queue and
-    blocks for the service thread's grant on the rank's own grant queue
-    — a ``(status, chunk, victim)`` triple: a chunk grant, a "retry
-    later" (speculation may free up work; sleep briefly and re-ask), or
-    "done".  ``stall_seconds`` sleeps before every request: the
+    ``next()`` posts ``("req", rank, run)`` on the shared request queue
+    and blocks for the service thread's grant on the rank's own grant
+    queue — a ``(run, status, chunk, victim)`` tuple: a chunk grant, a
+    "retry later" (speculation may free up work; sleep briefly and
+    re-ask), or "done".  A grant stamped with another run's number is
+    a leftover answer to a dead incarnation's request and is skipped.  ``stall_seconds`` sleeps before every request: the
     fault-injection hook that makes this rank a straggler so tests can
     watch its chunks get stolen (and, with speculation armed, its
     in-flight chunks re-executed).  ``kill_at_chunk`` is the
@@ -135,8 +157,11 @@ class _PullChunkSource:
         stall_seconds: float = 0.0,
         kill_at_chunk: Optional[int] = None,
         prefetch: int = 0,
+        run: int = 0,
     ) -> None:
         self.rank = rank
+        #: the run's sequence number, stamped on requests and grants
+        self.run = run
         self.request_queue = request_queue
         self.grant_queue = grant_queue
         self.stall_seconds = float(stall_seconds)
@@ -166,7 +191,7 @@ class _PullChunkSource:
             if self.stall_seconds:
                 time.sleep(self.stall_seconds)
             while not self._draining and self._pending < 1 + self.prefetch:
-                self.request_queue.put(("req", self.rank))
+                self.request_queue.put(("req", self.rank, self.run))
                 self._pending += 1
             if self._draining and self._pending == 0:
                 return None
@@ -175,7 +200,9 @@ class _PullChunkSource:
             # wait is only the residual blocking time — the overlap the
             # streaming bench's p99 column quantifies.
             w0 = time.time()
-            status, chunk, victim = self.grant_queue.get()
+            run, status, chunk, victim = self.grant_queue.get()
+            if run != self.run:
+                continue
             self._pending -= 1
             if obs is not None:
                 w1 = time.time()
@@ -202,7 +229,8 @@ class _PullChunkSource:
                 # service lock, so the grant dies with it — or, after
                 # reclaim, onto the replacement's queue, where a chunk
                 # is simply mapped by the new incarnation and a
-                # trailing DONE goes unread.)
+                # trailing DONE goes unread — a later run skips it by
+                # its run stamp.)
                 os.kill(os.getpid(), signal.SIGKILL)
             return chunk, victim
 
@@ -210,7 +238,7 @@ class _PullChunkSource:
         """Tell the service this rank is about to post its batches —
         past this point the unit-of-loss contract makes its death
         unrecoverable (nothing left to reclaim)."""
-        self.request_queue.put(("posted", self.rank))
+        self.request_queue.put(("posted", self.rank, self.run))
 
 
 class _ListChunkSource:
@@ -237,21 +265,32 @@ class _ListChunkSource:
         pass
 
 
-def _serve_chunks(
-    service: ChunkService,
-    request_queue,
-    grant_queues,
-    stop: threading.Event,
-    errors: List[BaseException],
-) -> None:
-    """Driver-side service thread: answer pull requests until stopped.
+class _Run:
+    """The run a rank set is serving: its number, service and errors."""
 
-    Grant messages are ``(status, chunk, victim)`` — ``(_GRANT_DONE,
-    None, -1)`` tells the requesting rank it is done, ``_GRANT_RETRY``
-    tells it to re-ask shortly (speculation may free up work).  A
-    service failure is stashed in ``errors`` (the driver's collect loop
-    re-raises it) and the requester is released with "done" so it
-    cannot block forever.
+    __slots__ = ("number", "service", "errors")
+
+    def __init__(self, number: int, service: ChunkService) -> None:
+        self.number = number
+        self.service = service
+        #: service failures, re-raised by the driver's collect loop
+        self.errors: List[BaseException] = []
+
+
+def _serve_chunks(ranks: "_Ranks") -> None:
+    """Driver-side service thread: answer pull requests for the ranks'
+    current run until :meth:`_Ranks.shutdown` wakes it to stop.
+
+    It blocks, with no timeout, until a request or the stop message
+    arrives; the stop travels on a driver-only pipe, so no lock a dead
+    rank may hold can delay it.  Grant messages are
+    ``(run, status, chunk, victim)`` — ``(run, _GRANT_DONE, None, -1)``
+    tells the requesting rank it is done, ``_GRANT_RETRY`` tells it to
+    re-ask shortly (speculation may free up work).  A request stamped
+    with any run but the one in flight is a leftover and is dropped.  A
+    service failure is stashed in the run's ``errors`` (the driver's
+    collect loop re-raises it) and the requester is released with
+    "done" so it cannot block forever.
 
     The service lock is held across request *and* put: the driver's
     recovery path (swap in a fresh grant queue, then ``reclaim``) takes
@@ -259,11 +298,16 @@ def _serve_chunks(
     already drained-by-replacement — no chunk is both re-queued and
     stranded on a dead rank's old queue.
     """
-    while not stop.is_set():
-        try:
-            kind, rank = request_queue.get(timeout=0.1)
-        except (queue_mod.Empty, OSError, EOFError, ValueError):
+    requests = ranks.request_queue
+    while True:
+        ready = wait_connections([requests._reader, ranks.stop_reader])
+        if ranks.stop_reader in ready:
+            return
+        kind, rank, number = requests.get()
+        run = ranks.run
+        if run is None or run.number != number:
             continue
+        service = run.service
         try:
             with service.guard():
                 if kind == "posted":
@@ -271,17 +315,17 @@ def _serve_chunks(
                     continue
                 assignment = service.request(rank)
                 if assignment is RETRY:
-                    grant_queues[rank].put((_GRANT_RETRY, None, -1))
+                    grant = (number, _GRANT_RETRY, None, -1)
                 elif assignment is None:
-                    grant_queues[rank].put((_GRANT_DONE, None, -1))
+                    grant = (number, _GRANT_DONE, None, -1)
                 else:
-                    grant_queues[rank].put(
-                        (_GRANT_CHUNK, assignment.chunk, assignment.victim)
-                    )
+                    grant = (number, _GRANT_CHUNK, assignment.chunk,
+                             assignment.victim)
+                ranks.grant_queues[rank].put(grant)
         except BaseException as exc:
-            errors.append(exc)
+            run.errors.append(exc)
             try:
-                grant_queues[rank].put((_GRANT_DONE, None, -1))
+                ranks.grant_queues[rank].put((number, _GRANT_DONE, None, -1))
             except BaseException:
                 return
 
@@ -296,7 +340,7 @@ def _worker_main(
     exchange: str = "shm",
     obs_enabled: bool = False,
 ) -> None:
-    """Entry point of one rank's process: pull+map, exchange, sort, reduce.
+    """One job on one rank: pull+map, exchange, sort, reduce.
 
     ``chunk_source`` is the rank's pull handle (``next() -> (chunk,
     victim) | None``); the worker counts a steal whenever a grant's
@@ -398,17 +442,7 @@ def _worker_main(
             (rank, None, output, stats, obs.export() if obs else None)
         )
     except BaseException:
-        # Unblock only the peers still waiting on this rank's batch —
-        # re-posting to an already-served peer would make it count two
-        # batches from one source and merge nondeterministically.
-        for dest in range(n_workers):
-            if dest != rank and dest not in posted:
-                try:
-                    shuffle_queues[dest].put(
-                        (rank, encode_batch([], transport=exchange), [])
-                    )
-                except BaseException:
-                    pass  # queue gone too; the driver's watch covers it
+        _backfill(rank, n_workers, shuffle_queues, exchange, posted)
         while segments:
             release_segment(segments.pop())
         result_queue.put(
@@ -417,8 +451,232 @@ def _worker_main(
         )
 
 
+def _backfill(rank, n_workers, shuffle_queues, exchange, posted) -> None:
+    """Post an empty batch to every peer not in ``posted``.
+
+    A failing rank unblocks only the peers still waiting on its batch
+    — re-posting to an already-served peer would make it count two
+    batches from one source and merge nondeterministically.
+    """
+    for dest in range(n_workers):
+        if dest != rank and dest not in posted:
+            try:
+                shuffle_queues[dest].put(
+                    (rank, encode_batch([], transport=exchange), [])
+                )
+            except BaseException:
+                pass  # queue gone too; the driver's watch covers it
+
+
+def _rank_main(
+    rank: int,
+    n_workers: int,
+    control_queue: mp.Queue,
+    request_queue,
+    grant_queue: mp.Queue,
+    shuffle_queues: List[mp.Queue],
+    result_queue: mp.Queue,
+    exchange: str,
+) -> None:
+    """Entry point of a resident rank: run each job the driver ships.
+
+    A control message is ``(run, job_pickle, obs_enabled, stall_seconds,
+    kill_at_chunk, prefetch)``; the rank runs that job through
+    :func:`_worker_main` and waits for the next.  ``None`` retires the
+    rank (see :meth:`_Ranks.refork`); otherwise the driver ends ranks
+    by terminating them.
+    """
+    while True:
+        message = control_queue.get()
+        if message is None:
+            return
+        run, job_pickle, obs_enabled, stall, kill_at, prefetch = message
+        try:
+            job = pickle.loads(job_pickle)
+        except Exception:
+            _backfill(rank, n_workers, shuffle_queues, exchange, ())
+            result_queue.put(
+                (rank, traceback.format_exc(), None, WorkerStats(rank=rank), None)
+            )
+            continue
+        source = _PullChunkSource(
+            rank, request_queue, grant_queue, stall, kill_at, prefetch, run
+        )
+        _worker_main(
+            rank, n_workers, job, source, shuffle_queues, result_queue,
+            exchange, obs_enabled,
+        )
+
+
+class _Ranks:
+    """A :class:`LocalExecutor`'s resident state: the rank processes,
+    their queues and the chunk-service thread.
+
+    It holds no reference to the executor, so an executor dropped
+    without ``close()`` is still collected and its finalizer can call
+    :meth:`shutdown` on this object.
+    """
+
+    def __init__(self, ctx, n_workers: int, exchange: str) -> None:
+        self.ctx = ctx
+        self.n_workers = n_workers
+        self.exchange = exchange
+        self.owner_pid = os.getpid()
+        # mp.Queue writes through a feeder thread, so puts never block
+        # on pipe capacity — no exchange deadlock however large a batch
+        # (and under "shm" the message is tiny regardless).
+        self.shuffle_queues = [ctx.Queue() for _ in range(n_workers)]
+        self.grant_queues = [ctx.Queue() for _ in range(n_workers)]
+        self.control_queues = [ctx.Queue() for _ in range(n_workers)]
+        self.result_queue = ctx.Queue()
+        # Requests are written synchronously by the rank's own thread (no
+        # feeder thread), so a rank the fault plan SIGKILLs right after
+        # a request can never die holding the queue's shared write lock.
+        self.request_queue = ctx.SimpleQueue()
+        self.stop_reader, self._stop_writer = ctx.Pipe(duplex=False)
+        #: the run being served (None between runs)
+        self.run: Optional[_Run] = None
+        self.runs_started = 0
+        #: processes started per rank, for the incarnation in the name
+        self._started = [0] * n_workers
+        self.server = threading.Thread(
+            target=_serve_chunks, args=(self,), name="gpmr-chunk-service",
+            daemon=True,
+        )
+        self.server.start()
+        self.procs: List[mp.process.BaseProcess] = []
+        try:
+            for rank in range(n_workers):
+                self.procs.append(self._start(rank))
+        except BaseException:
+            self.shutdown()
+            raise
+
+    def _start(self, rank: int) -> mp.process.BaseProcess:
+        proc = self.ctx.Process(
+            target=_rank_main,
+            args=(
+                rank,
+                self.n_workers,
+                self.control_queues[rank],
+                self.request_queue,
+                self.grant_queues[rank],
+                self.shuffle_queues,
+                self.result_queue,
+                self.exchange,
+            ),
+            name=f"gpmr-local-r{rank}.{self._started[rank]}",
+            daemon=True,
+        )
+        self._started[rank] += 1
+        proc.start()
+        return proc
+
+    def refork(self, rank: int) -> None:
+        """Give ``rank`` a fresh process before a run that kills it.
+
+        A resident process may still have a queue feeder thread inside
+        a shared write lock from an earlier job (its pipe write done,
+        the lock release not yet scheduled); a scripted SIGKILL landing
+        then would leave that lock held forever.  A fresh process has
+        written nothing yet, like a per-run rank.  The old one exits
+        through the ``None`` control message, so it dies holding no
+        lock either.
+        """
+        old = self.procs[rank]
+        self.control_queues[rank].put(None)
+        old.join(timeout=5.0)
+        if old.is_alive():  # pragma: no cover - a wedged rank
+            old.terminate()
+            old.join(timeout=5.0)
+        self.procs[rank] = self._start(rank)
+
+    def healthy(self) -> bool:
+        return all(p.is_alive() for p in self.procs)
+
+    def begin(self, service: ChunkService) -> _Run:
+        """Make ``service`` the one the service thread answers for."""
+        self.runs_started += 1
+        self.run = _Run(self.runs_started, service)
+        return self.run
+
+    def respawn(self, rank: int) -> int:
+        """Replace dead ``rank`` with a fresh process on a fresh grant
+        queue; returns the incarnation number.  Under the service lock,
+        so grants queued to the dead incarnation die with its queue."""
+        with self.run.service.guard():
+            self.grant_queues[rank] = self.ctx.Queue()
+            self.run.service.reclaim(rank)
+        self.procs[rank] = self._start(rank)
+        return self._started[rank] - 1
+
+    def shutdown(self) -> None:
+        """Terminate and join the ranks, stop the service thread, unlink
+        undelivered shared memory and close every queue.  Idempotent."""
+        if os.getpid() != self.owner_pid or self.server is None:
+            return  # a forked child's copy, or already shut down
+        server, self.server = self.server, None
+        self.run = None
+        self._stop_writer.send(None)
+        for p in self.procs:
+            if p.is_alive():
+                p.terminate()
+        for p in self.procs:
+            p.join(timeout=5.0)
+        if server is not threading.current_thread():
+            server.join(timeout=5.0)
+        _drain_undelivered(self.shuffle_queues)
+        queues = (
+            self.shuffle_queues + self.grant_queues + self.control_queues
+            + [self.result_queue]
+        )
+        for q in queues:
+            q.cancel_join_thread()
+            q.close()
+        for conn in (self.request_queue, self.stop_reader, self._stop_writer):
+            conn.close()
+
+
+def _drain_undelivered(shuffle_queues: List[mp.Queue]) -> None:
+    """Unlink segments behind messages no worker ever consumed.
+
+    On the happy path the queues are empty; after a failure they
+    may still hold batches whose shared-memory segments would
+    otherwise outlive the run.  A worker killed or terminated
+    mid-``put`` can leave a *partial* message in a queue's pipe;
+    ``get_nowait`` then blocks in ``_recv_bytes`` (the poll sees
+    bytes, the receive waits for the rest forever), so the drain
+    runs in a daemon thread with a bounded join — leaking a
+    segment beats hanging the teardown.
+    """
+    def _drain() -> None:
+        for q in shuffle_queues:
+            while True:
+                try:
+                    item = q.get_nowait()
+                except (queue_mod.Empty, OSError, EOFError, ValueError):
+                    break
+                try:
+                    release_message(item[1])
+                except OSError:  # pragma: no cover - best-effort cleanup
+                    pass
+
+    t = threading.Thread(
+        target=_drain, name="gpmr-drain-undelivered", daemon=True
+    )
+    t.start()
+    t.join(timeout=5.0)
+
+
 class LocalExecutor(Executor):
-    """Execute jobs for real on ``n_workers`` OS processes.
+    """Execute jobs for real on ``n_workers`` resident OS processes.
+
+    The ranks start on the first :meth:`run` and serve every later run
+    until :meth:`close` (or garbage collection of an unclosed
+    executor) terminates and joins them; :meth:`reset` keeps them, so
+    a pooled executor stays warm across leases.  A run that fails —
+    :class:`WorkerFailure`, ``TimeoutError`` or a service error —
+    tears the ranks down and the next run starts fresh ones.
 
     ``stall_seconds`` (optional, ``{rank: seconds}``) injects a sleep
     before each of that rank's chunk requests — a deliberate straggler
@@ -429,10 +687,12 @@ class LocalExecutor(Executor):
     driver's liveness watch, their un-posted grants are reclaimed into
     the pool, and a replacement process is respawned under the same
     rank id — the run completes with output bit-identical to a
-    failure-free run.  ``speculate_after`` additionally re-executes
-    straggling in-flight grants on idle ranks; receivers drop the
-    duplicate map output by chunk-id provenance tags.  Without a plan,
-    any worker death is a :class:`WorkerFailure` exactly as before.
+    failure-free run.  The plan applies to every run: each run's first
+    incarnation of a rank carries its kill ordinal.
+    ``speculate_after`` additionally re-executes straggling in-flight
+    grants on idle ranks; receivers drop the duplicate map output by
+    chunk-id provenance tags.  Without a plan, any worker death is a
+    :class:`WorkerFailure` exactly as before.
     """
 
     name = "local"
@@ -472,6 +732,42 @@ class LocalExecutor(Executor):
             fault_plan.validate_for(n_workers)
             stall_seconds = fault_plan.merged_stalls(stall_seconds)
         self.stall_seconds: Dict[int, float] = dict(stall_seconds or {})
+        #: the resident ranks (None until the first run, and after a
+        #: failed run tore them down)
+        self._ranks: Optional[_Ranks] = None
+        self._finalizer: Optional[weakref.finalize] = None
+        self._run_lock = threading.Lock()
+
+    @property
+    def rank_pids(self) -> List[Optional[int]]:
+        """PIDs of the resident ranks ([] before the first run)."""
+        return [] if self._ranks is None else [p.pid for p in self._ranks.procs]
+
+    def _acquire_ranks(self) -> _Ranks:
+        """The resident ranks, spawned now if there are none or one died
+        between runs."""
+        ranks = self._ranks
+        if ranks is not None and ranks.healthy():
+            return ranks
+        self._teardown()
+        if self.exchange == "shm":
+            # One tracker for the whole rank tree — see exchange docs.
+            ensure_shared_tracker()
+        ranks = _Ranks(
+            mp.get_context(self.start_method), self.n_workers, self.exchange
+        )
+        self._ranks = ranks
+        self._finalizer = weakref.finalize(self, ranks.shutdown)
+        return ranks
+
+    def _teardown(self) -> None:
+        if self._finalizer is not None:
+            self._finalizer()
+        self._ranks = None
+        self._finalizer = None
+
+    def _release(self) -> None:
+        self._teardown()
 
     def run(
         self,
@@ -482,8 +778,8 @@ class LocalExecutor(Executor):
     ) -> JobResult:
         self._check_open()
         # Stamp accel/fused into the job config before the job is
-        # pickled to the worker processes — the children's MapRunners
-        # read it straight off the config.
+        # pickled to the ranks — their MapRunners read it straight off
+        # the config.
         job = self._configure_job(job)
         all_chunks = resolve_chunks(dataset, chunks)
         fault = self.fault_plan
@@ -505,7 +801,7 @@ class LocalExecutor(Executor):
             )
         run_obs = self._begin_obs()
         # Replay validation happens here, in the driver, before any
-        # process exists — a bad trace fails fast with full context.
+        # rank sees the job — a bad trace fails fast with full context.
         service = self._make_chunk_service(
             all_chunks,
             job,
@@ -513,150 +809,13 @@ class LocalExecutor(Executor):
             speculate_after=None if fault is None else fault.speculate_after,
             obs=run_obs,
         )
-        ctx = mp.get_context(self.start_method)
-        if self.exchange == "shm":
-            # One tracker for the whole rank tree — see exchange docs.
-            ensure_shared_tracker()
-        # mp.Queue writes through a feeder thread, so puts never block
-        # on pipe capacity — no exchange deadlock however large a batch
-        # (and under "shm" the message is tiny regardless).
-        shuffle_queues = [ctx.Queue() for _ in range(self.n_workers)]
-        result_queue = ctx.Queue()
-        request_queue = ctx.Queue()
-        grant_queues = [ctx.Queue() for _ in range(self.n_workers)]
-
-        stop_service = threading.Event()
-        service_errors: List[BaseException] = []
-        server = threading.Thread(
-            target=_serve_chunks,
-            args=(service, request_queue, grant_queues, stop_service,
-                  service_errors),
-            name="gpmr-chunk-service",
-            daemon=True,
-        )
-        server.start()
-
+        job_pickle = pickle.dumps(job, protocol=pickle.HIGHEST_PROTOCOL)
         t_start = time.perf_counter()
-
-        def spawn(rank: int, incarnation: int) -> mp.process.BaseProcess:
-            # Only the first incarnation carries the scripted kill: the
-            # replacement must survive to finish the reclaimed work.
-            kill_at = (
-                fault.kill_for(rank)
-                if fault is not None and incarnation == 0
-                else None
+        # One run at a time on the one set of ranks.
+        with self._run_lock:
+            outputs, worker_stats = self._run_on_ranks(
+                job_pickle, service, run_obs
             )
-            return ctx.Process(
-                target=_worker_main,
-                args=(
-                    rank,
-                    self.n_workers,
-                    job,
-                    _PullChunkSource(
-                        rank,
-                        request_queue,
-                        grant_queues[rank],
-                        self.stall_seconds.get(rank, 0.0),
-                        kill_at,
-                        self.prefetch_window,
-                    ),
-                    shuffle_queues,
-                    result_queue,
-                    self.exchange,
-                    run_obs is not None,
-                ),
-                name=f"gpmr-local-r{rank}.{incarnation}",
-                daemon=True,
-            )
-
-        procs = [spawn(rank, 0) for rank in range(self.n_workers)]
-        respawns_left = {
-            rank: (fault.max_respawns if fault is not None else 0)
-            for rank in range(self.n_workers)
-        }
-        for p in procs:
-            p.start()
-
-        outputs: List[Optional[KeyValueSet]] = [None] * self.n_workers
-        worker_stats: List[Optional[WorkerStats]] = [None] * self.n_workers
-        failures: List[Tuple[int, str]] = []
-        deadline = time.monotonic() + self.timeout_seconds
-        pending = {rank for rank in range(self.n_workers)}
-        silent_since: Optional[float] = None
-        try:
-            while pending:
-                if service_errors:
-                    raise service_errors[0]
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    raise TimeoutError(
-                        f"local backend timed out after {self.timeout_seconds}s "
-                        f"with {len(pending)} worker(s) outstanding"
-                    )
-                try:
-                    rank, error, output, stats, obs_payload = result_queue.get(
-                        timeout=min(remaining, 0.5)
-                    )
-                except queue_mod.Empty:
-                    if fault is not None:
-                        self._recover_dead_workers(
-                            procs, pending, service, grant_queues,
-                            respawns_left, spawn, ctx,
-                        )
-                    failure = dead_worker_failure(procs)
-                    if failure is not None and result_queue.empty():
-                        raise failure
-                    # A worker that exited *cleanly* (code 0) without
-                    # posting a result will never satisfy the loop:
-                    # surface it as a failure instead of running out
-                    # the full job timeout.  One extra empty poll cycle
-                    # of grace covers a result still in flight through
-                    # the queue's feeder pipe.
-                    silent = sorted(
-                        r for r in pending
-                        if not procs[r].is_alive() and procs[r].exitcode == 0
-                    )
-                    if silent and result_queue.empty():
-                        if silent_since is None:
-                            silent_since = time.monotonic()
-                        elif time.monotonic() - silent_since > 1.0:
-                            raise WorkerFailure(
-                                silent[0],
-                                f"worker rank(s) {silent} exited cleanly "
-                                "without posting a result",
-                            )
-                    else:
-                        silent_since = None
-                    continue
-                pending.discard(rank)
-                silent_since = None
-                if run_obs is not None:
-                    run_obs.absorb(obs_payload)
-                if error is not None:
-                    failures.append((rank, error))
-                else:
-                    outputs[rank] = output
-                    worker_stats[rank] = stats
-        finally:
-            stop_service.set()
-            for p in procs:
-                if p.is_alive():
-                    p.terminate()
-            for p in procs:
-                p.join(timeout=5.0)
-            server.join(timeout=5.0)
-            self._drain_undelivered(shuffle_queues)
-            for q in shuffle_queues + grant_queues + [result_queue, request_queue]:
-                q.cancel_join_thread()
-
-        if failures:
-            rank, detail = failures[0]
-            raise WorkerFailure(rank, detail)
-        # A service failure on the *last* grants can release every
-        # worker with "done" before the in-loop check sees it; re-check
-        # now so a run that silently dropped chunks can never return.
-        if service_errors:
-            raise service_errors[0]
         if service.remaining:
             raise RuntimeError(
                 f"chunk service finished with {service.remaining} chunk(s) "
@@ -688,15 +847,112 @@ class LocalExecutor(Executor):
             obs=run_obs,
         )
 
+    def _run_on_ranks(
+        self,
+        job_pickle: bytes,
+        service: ChunkService,
+        run_obs: Optional[Observability],
+    ) -> Tuple[List[Optional[KeyValueSet]], List[Optional[WorkerStats]]]:
+        """Ship one job to the resident ranks and collect every rank's
+        output and stats; any failure tears the ranks down."""
+        fault = self.fault_plan
+        ranks = self._acquire_ranks()
+        run = ranks.begin(service)
+
+        def ship(rank: int, kill_at: Optional[int]) -> None:
+            ranks.control_queues[rank].put((
+                run.number, job_pickle, run_obs is not None,
+                self.stall_seconds.get(rank, 0.0), kill_at,
+                self.prefetch_window,
+            ))
+
+        respawns_left = {
+            rank: (fault.max_respawns if fault is not None else 0)
+            for rank in range(self.n_workers)
+        }
+        outputs: List[Optional[KeyValueSet]] = [None] * self.n_workers
+        worker_stats: List[Optional[WorkerStats]] = [None] * self.n_workers
+        failures: List[Tuple[int, str]] = []
+        deadline = time.monotonic() + self.timeout_seconds
+        pending = set(range(self.n_workers))
+        results = ranks.result_queue
+        try:
+            for rank in range(self.n_workers):
+                kill_at = None if fault is None else fault.kill_for(rank)
+                if kill_at is not None:
+                    ranks.refork(rank)
+                ship(rank, kill_at)
+            while pending:
+                if run.errors:
+                    raise run.errors[0]
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    raise TimeoutError(
+                        f"local backend timed out after {self.timeout_seconds}s "
+                        f"with {len(pending)} worker(s) outstanding"
+                    )
+                # Wake on a result or on any pending rank's exit.
+                ready = wait_connections(
+                    [results._reader] + [ranks.procs[r].sentinel for r in pending],
+                    timeout=remaining,
+                )
+                if not results.empty():
+                    rank, error, output, stats, obs_payload = results.get()
+                    pending.discard(rank)
+                    if run_obs is not None:
+                        run_obs.absorb(obs_payload)
+                    if error is not None:
+                        failures.append((rank, error))
+                    else:
+                        outputs[rank] = output
+                        worker_stats[rank] = stats
+                    continue
+                # A ready sentinel means the rank is exiting; reap it so
+                # its exit code is final for every check below.
+                for r in pending:
+                    if ranks.procs[r].sentinel in ready:
+                        ranks.procs[r].join(timeout=5.0)
+                if fault is not None:
+                    self._recover_dead_workers(
+                        ranks, pending, respawns_left, ship
+                    )
+                failure = dead_worker_failure(ranks.procs)
+                if failure is not None:
+                    raise failure
+                # A rank that exited *cleanly* (code 0) mid-run will
+                # never post its result; its queue writes were flushed
+                # before it exited, so an empty result queue is final.
+                silent = sorted(
+                    r for r in pending if ranks.procs[r].exitcode == 0
+                )
+                if silent:
+                    raise WorkerFailure(
+                        silent[0],
+                        f"worker rank(s) {silent} exited cleanly "
+                        "without posting a result",
+                    )
+            if failures:
+                rank, detail = failures[0]
+                raise WorkerFailure(rank, detail)
+            # A service failure on the *last* grants can release every
+            # worker with "done" before the in-loop check sees it;
+            # re-check now so a run that silently dropped chunks can
+            # never return.
+            if run.errors:
+                raise run.errors[0]
+        except BaseException:
+            self._teardown()
+            raise
+        finally:
+            ranks.run = None
+        return outputs, worker_stats
+
     def _recover_dead_workers(
         self,
-        procs,
+        ranks: _Ranks,
         pending: Set[int],
-        service: ChunkService,
-        grant_queues,
         respawns_left: Dict[int, int],
-        spawn,
-        ctx,
+        ship,
     ) -> None:
         """Reclaim and respawn every dead rank that is still recoverable.
 
@@ -706,17 +962,13 @@ class LocalExecutor(Executor):
         have shipped, reclaiming would double-count them).  Ranks that
         do not qualify are deliberately left for
         :func:`dead_worker_failure`, preserving the no-plan failure
-        behavior.
-
-        Under the service lock: swap in a *fresh* grant queue for the
-        replacement (grants queued to the dead incarnation — consumed
-        or not — die with the old queue; no racy drain of a feeder
-        pipe), then ``reclaim`` so every grant the dead rank held goes
-        back in the pool.  The service thread grants under the same
-        lock, so no grant can slip onto the old queue afterwards.
+        behavior.  The replacement gets a fresh grant queue (see
+        :meth:`_Ranks.respawn`) and the run without a kill ordinal: it
+        must survive to finish the reclaimed work.
         """
+        service = ranks.run.service
         for rank in sorted(pending):
-            p = procs[rank]
+            p = ranks.procs[rank]
             if p.is_alive() or p.exitcode in (0, None):
                 continue
             if respawns_left.get(rank, 0) <= 0:
@@ -726,48 +978,13 @@ class LocalExecutor(Executor):
             if self.obs is not None:
                 self.obs.tracer.event("rank_dead", rank=rank,
                                       exitcode=p.exitcode)
-            with service.guard():
-                grant_queues[rank] = ctx.Queue()
-                service.reclaim(rank)
             respawns_left[rank] -= 1
-            incarnation = self.fault_plan.max_respawns - respawns_left[rank]
-            procs[rank] = spawn(rank, incarnation)
-            procs[rank].start()
+            incarnation = ranks.respawn(rank)
+            ship(rank, None)
             if self.obs is not None:
                 self.obs.tracer.event("respawn", rank=rank,
                                       incarnation=incarnation)
                 self.obs.metrics.counter("respawns").inc()
-
-    @staticmethod
-    def _drain_undelivered(shuffle_queues: List[mp.Queue]) -> None:
-        """Unlink segments behind messages no worker ever consumed.
-
-        On the happy path the queues are empty; after a failure they
-        may still hold batches whose shared-memory segments would
-        otherwise outlive the run.  A worker killed or terminated
-        mid-``put`` can leave a *partial* message in a queue's pipe;
-        ``get_nowait`` then blocks in ``_recv_bytes`` (the poll sees
-        bytes, the receive waits for the rest forever), so the drain
-        runs in a daemon thread with a bounded join — leaking a
-        segment beats hanging the run.
-        """
-        def _drain() -> None:
-            for q in shuffle_queues:
-                while True:
-                    try:
-                        item = q.get_nowait()
-                    except (queue_mod.Empty, OSError, EOFError, ValueError):
-                        break
-                    try:
-                        release_message(item[1])
-                    except OSError:  # pragma: no cover - best-effort cleanup
-                        pass
-
-        t = threading.Thread(
-            target=_drain, name="gpmr-drain-undelivered", daemon=True
-        )
-        t.start()
-        t.join(timeout=5.0)
 
 
 register_backend(LocalExecutor.name, LocalExecutor)

@@ -162,8 +162,10 @@ class RankEndpoint:
         self._draining = False
         # Early-exchange inbox: a background thread accepts inbound
         # shuffle batches while this rank is still mapping, so the
-        # exchange barrier only waits for genuinely late data.
-        self._inbox_lock = threading.Lock()
+        # exchange barrier only waits for genuinely late data.  The
+        # condition guards the inbox state below; the inbox thread
+        # notifies it when a batch lands and when it exits or fails.
+        self._inbox_cond = threading.Condition()
         self._inbox_batches: List[Tuple[int, List[Any], Optional[List[int]]]] = []
         self._inbox_have: set = set()
         self._inbox_error: Optional[BaseException] = None
@@ -476,7 +478,7 @@ class RankEndpoint:
             while not self._inbox_stop.is_set():
                 if self._posted_event.is_set() and unacked:
                     _flush_acks()
-                with self._inbox_lock:
+                with self._inbox_cond:
                     done = len(self._inbox_have) >= expected
                 if done and not unacked:
                     break
@@ -498,10 +500,11 @@ class RankEndpoint:
                         OSError):
                     conn.close()  # stray or abandoned connection; drop it
                     continue
-                with self._inbox_lock:
+                with self._inbox_cond:
                     if int(src) not in self._inbox_have:
                         self._inbox_have.add(int(src))
                         self._inbox_batches.append((int(src), parts, tags))
+                        self._inbox_cond.notify_all()
                 if self._posted_event.is_set():
                     try:
                         send_raw_frame(
@@ -514,9 +517,12 @@ class RankEndpoint:
                 else:
                     unacked.append(conn)
         except BaseException as exc:
-            self._inbox_error = exc
+            with self._inbox_cond:
+                self._inbox_error = exc
         finally:
             _flush_acks()
+            with self._inbox_cond:
+                self._inbox_cond.notify_all()
 
     def exchange(
         self,
@@ -570,23 +576,22 @@ class RankEndpoint:
             None if chunk_ids_for is None else list(chunk_ids_for[self.rank])
         )
         deadline = time.monotonic() + self.timeout_seconds
-        while True:
-            if self._inbox_error is not None:
-                raise FabricError(
-                    f"rank {self.rank} inbox failed: {self._inbox_error}"
-                ) from self._inbox_error
-            with self._inbox_lock:
-                count = len(self._inbox_have)
-                have = set(self._inbox_have)
-            if count >= n - 1:
-                break
-            if time.monotonic() > deadline:
-                raise FabricError(
-                    f"rank {self.rank} shuffle timed out after "
-                    f"{self.timeout_seconds}s; received batches only from "
-                    f"{sorted(have | {self.rank})}"
-                )
-            time.sleep(_POLL_SECONDS / 4)
+        with self._inbox_cond:
+            while True:
+                if self._inbox_error is not None:
+                    raise FabricError(
+                        f"rank {self.rank} inbox failed: {self._inbox_error}"
+                    ) from self._inbox_error
+                if len(self._inbox_have) >= n - 1:
+                    break
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    raise FabricError(
+                        f"rank {self.rank} shuffle timed out after "
+                        f"{self.timeout_seconds}s; received batches only from "
+                        f"{sorted(self._inbox_have | {self.rank})}"
+                    )
+                self._inbox_cond.wait(remaining)
         self._inbox_thread.join(timeout=self.timeout_seconds)
 
         for t in senders:
@@ -595,7 +600,7 @@ class RankEndpoint:
             raise FabricError(
                 f"rank {self.rank} failed sending shuffle batches: {errors[0]}"
             ) from errors[0]
-        with self._inbox_lock:
+        with self._inbox_cond:
             batches = [(self.rank, list(parts_for[self.rank]), self_tags)]
             batches.extend(self._inbox_batches)
         return batches

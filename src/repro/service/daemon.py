@@ -64,8 +64,9 @@ from .pool import ExecutorPool
 
 __all__ = ["JobService", "main"]
 
-#: Accept-loop wake interval while checking for shutdown.
-_POLL_SECONDS = 0.2
+#: Admission-queue entry that ends one runner thread: it sorts ahead
+#: of every ticket, so close() never waits for queued jobs to run.
+_STOP_RUNNER = (float("-inf"), -1, None)
 
 
 def _strip_obs(result: Any) -> Any:
@@ -118,7 +119,6 @@ class JobService:
         self.pool = ExecutorPool(chunk_authority=self.authority, obs=self.obs)
         self.cache = DatasetCache(max_entries=cache_entries, obs=self.obs)
         self._listener = socket.create_server((host, port), backlog=64)
-        self._listener.settimeout(_POLL_SECONDS)
         self.host, self.port = self._listener.getsockname()[:2]
         self._admission: "queue.PriorityQueue" = queue.PriorityQueue()
         self._arrivals = itertools.count()
@@ -154,11 +154,23 @@ class JobService:
         return self
 
     def close(self) -> None:
+        """Stop accepting, end the runners and retire the pool.
+
+        Every thread is woken, none polls: shutting the listener down
+        fails the accept loop's blocking ``accept()``, and one stop
+        entry per runner ends each runner's blocking ``get()``.
+        """
         self._shutdown.set()
+        try:
+            self._listener.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass  # never listened, or already shut down
         try:
             self._listener.close()
         except OSError:
             pass
+        for _ in range(self.max_concurrent_jobs):
+            self._admission.put(_STOP_RUNNER)
         for t in self._threads:
             t.join(timeout=5.0)
         self.pool.close()
@@ -173,8 +185,7 @@ class JobService:
         """Block until interrupted (the CLI's main loop)."""
         self.start()
         try:
-            while not self._shutdown.is_set():
-                time.sleep(_POLL_SECONDS)
+            self._shutdown.wait()
         except KeyboardInterrupt:
             pass
         finally:
@@ -186,10 +197,8 @@ class JobService:
         while not self._shutdown.is_set():
             try:
                 conn, _addr = self._listener.accept()
-            except socket.timeout:
-                continue
             except OSError:
-                return
+                return  # listener shut down by close()
             t = threading.Thread(
                 target=self._serve_connection, args=(conn,),
                 name="gpmr-svc-conn", daemon=True,
@@ -327,13 +336,10 @@ class JobService:
     # -- job runners -------------------------------------------------------
 
     def _runner_loop(self) -> None:
-        while not self._shutdown.is_set():
-            try:
-                _priority, _arrival, ticket = self._admission.get(
-                    timeout=_POLL_SECONDS
-                )
-            except queue.Empty:
-                continue
+        while True:
+            _priority, _arrival, ticket = self._admission.get()
+            if ticket is None:
+                return  # close()'s stop entry
             self.obs.metrics.gauge("admission_depth").set(
                 self._admission.qsize()
             )

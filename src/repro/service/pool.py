@@ -3,13 +3,15 @@
 One-shot ``run_app`` pays full executor construction per call.  The
 pool inverts that for the job service: executors are built once per
 *configuration* — ``(backend, n_workers, kwargs)`` — leased to a job,
-and returned warm for the next job with the same shape.  Warmth here
-is honest about what the built-in backends keep between runs: the
-instance (no re-validation or registry dispatch), the process-wide
-shared-memory resource tracker (pre-started once for the local
-backend, not per run), and the daemon-resident imports; per-run worker
-processes and fabric sockets are still acquired inside ``run()``
-today, which is the elastic follow-up noted in ROADMAP item 2.
+and returned warm for the next job with the same shape.  What stays
+warm between leases: the instance (no re-validation or registry
+dispatch), the process-wide shared-memory resource tracker
+(pre-started once for the local backend), the daemon-resident imports
+and, on the local backend, the resident rank processes with their
+queues and chunk-service thread — ``reset()`` keeps healthy ranks, so
+the next lease's job starts on processes that are already up.  The
+cluster backend still acquires its rank processes and fabric sockets
+inside ``run()``.
 
 Every lease is stamped with the daemon's shared
 :class:`~repro.core.scheduler.JobChunkAuthority` (when the pool has

@@ -23,10 +23,12 @@ Three reader kinds:
 
 Readers pickle by *key*, not by state: ``__reduce__`` ships the few
 scalars needed to rebuild the reader, and a per-process cache rebuilds
-at most once per worker — so a grant that crosses a process or socket
-boundary carries bytes, not gigabytes, and kill -9 recovery works for
-free (the respawned rank's fresh process rebuilds the reader from the
-descriptor it is re-granted).
+it at most once per worker while it stays in use — so a grant that
+crosses a process or socket boundary carries bytes, not gigabytes, and
+kill -9 recovery works for free (the respawned rank's fresh process
+rebuilds the reader from the descriptor it is re-granted).  Ranks are
+resident across jobs, so the cache is a bounded LRU: a rank that has
+seen many distinct inputs keeps only the most recently used readers.
 
 :func:`streamed` wraps a dataset factory into a
 :class:`StreamedDataset` — a drop-in :class:`Dataset` whose
@@ -42,6 +44,7 @@ import functools
 import importlib
 import os
 import threading
+from collections import OrderedDict
 from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
@@ -60,11 +63,16 @@ __all__ = [
 
 _SCALARS = (type(None), bool, int, float, str, bytes)
 
+#: Readers a process keeps: the least recently used one beyond this
+#: is dropped (with its mmap handle or built dataset) and rebuilt if
+#: its key is granted again.
+CACHE_ENTRIES = 8
+
 #: One reader instance per (type, key) per process: unpickling a
-#: granted descriptor rebuilds the reader at most once per worker, and
-#: every later grant reuses it (mmap handle, boundary scan, built
-#: dataset and all).
-_CACHE: Dict[Tuple[type, Any], "ChunkReader"] = {}
+#: granted descriptor rebuilds the reader at most once while it stays
+#: cached, and every later grant reuses it (mmap handle, boundary
+#: scan, built dataset and all).
+_CACHE: "OrderedDict[Tuple[type, Any], ChunkReader]" = OrderedDict()
 _CACHE_LOCK = threading.Lock()
 
 
@@ -73,11 +81,16 @@ def _cached(cls: type, key: Any) -> "ChunkReader":
     cache_key = (cls, key)
     with _CACHE_LOCK:
         inst = _CACHE.get(cache_key)
-    if inst is not None:
-        return inst
+        if inst is not None:
+            _CACHE.move_to_end(cache_key)
+            return inst
     inst = cls._from_key(key)
     with _CACHE_LOCK:
-        return _CACHE.setdefault(cache_key, inst)
+        inst = _CACHE.setdefault(cache_key, inst)
+        _CACHE.move_to_end(cache_key)
+        while len(_CACHE) > CACHE_ENTRIES:
+            _CACHE.popitem(last=False)
+        return inst
 
 
 class ChunkReader:

@@ -72,3 +72,12 @@ def test_make_executor_passthrough_validates_shape():
     with pytest.raises(ValueError, match="conflicting kwargs"):
         make_executor("serial", 2, executor=ex, obs=None)
     ex.close()
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("bad", (True, "trace.jsonl", object()))
+def test_non_observability_obs_is_rejected_at_construction(backend, bad):
+    # Used to construct fine and die inside run() with
+    # "'bool' object has no attribute 'reset'".
+    with pytest.raises(TypeError, match="Observability"):
+        make_executor(backend, 2, obs=bad)

@@ -12,6 +12,7 @@ import json
 import pickle
 import socket
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -226,6 +227,21 @@ def test_pool_leased_executor_actually_runs():
         assert a.values.tobytes() == b.values.tobytes() == c.values.tobytes()
 
 
+def test_pool_keeps_local_ranks_warm_across_leases():
+    ds = sio_dataset(**SIO_SPEC)
+    with ExecutorPool() as pool:
+        ex = pool.lease("local", 2)
+        run_sio(2, ds, backend="local", executor=ex)
+        pids = ex.rank_pids
+        pool.release(ex)
+        again = pool.lease("local", 2)
+        assert again is ex
+        run_sio(2, ds, backend="local", executor=again)
+        assert again.rank_pids == pids
+        pool.release(again)
+    assert ex.closed and ex.rank_pids == []
+
+
 def test_pool_closed_lease_raises():
     pool = ExecutorPool()
     pool.close()
@@ -273,6 +289,18 @@ def test_authority_rejects_live_duplicate_but_supersedes_drained():
 
 
 # -- daemon end-to-end (serial backend; fast) -------------------------------
+
+
+def test_idle_service_closes_promptly():
+    # close() wakes the accept loop and every runner instead of waiting
+    # out a poll interval (0.2 s each before).
+    svc = JobService(port=0, default_backend="serial",
+                     max_concurrent_jobs=2).start()
+    t0 = time.perf_counter()
+    svc.close()
+    elapsed = time.perf_counter() - t0
+    assert elapsed < 0.1, f"idle close took {elapsed:.3f}s"
+    assert not any(t.is_alive() for t in svc._threads)
 
 
 def test_submit_matches_oneshot(daemon):

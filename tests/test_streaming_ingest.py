@@ -194,6 +194,34 @@ def test_reader_pickle_round_trips_to_process_cache(tmp_path):
     assert np.array_equal(r1.materialize(0).data, reader.materialize(0).data)
 
 
+def test_reader_cache_is_a_bounded_lru(tmp_path):
+    # Resident ranks keep their reader cache across jobs, so every
+    # distinct input would otherwise stay built for the rank's life.
+    from repro.workloads import readers
+
+    bound = readers.CACHE_ENTRIES
+    np.save(tmp_path / "a.npy", np.arange(64, dtype=np.uint32))
+    saved = dict(readers._CACHE)
+    readers._CACHE.clear()
+    try:
+        blobs = [
+            pickle.dumps(NpySpanReader(tmp_path / "a.npy", rows_per_chunk=rows))
+            for rows in range(1, 2 * bound + 1)
+        ]
+        first = pickle.loads(blobs[0])
+        for blob in blobs[1:]:
+            pickle.loads(blob)
+            # Touch the first key again: the most recently used entry
+            # must survive every eviction.
+            assert pickle.loads(blobs[0]) is first
+        assert len(readers._CACHE) == bound
+        assert pickle.loads(blobs[-1]) is pickle.loads(blobs[-1])
+        assert pickle.loads(blobs[0]) is first
+    finally:
+        readers._CACHE.clear()
+        readers._CACHE.update(saved)
+
+
 def test_dataset_reader_rejects_live_object_specs():
     with pytest.raises(TypeError):
         DatasetReader(sio_dataset, {"n_elements": 1024, "rng": object()})
