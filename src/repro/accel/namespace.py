@@ -36,6 +36,7 @@ from ..primitives import (
     inclusive_scan,
     radix_sort_pairs,
     segmented_reduce,
+    stable_order,
     unique_segments,
 )
 
@@ -205,7 +206,7 @@ class NumpyNamespace(ArrayNamespace):
         return a @ b
 
     def stable_argsort(self, arr: Any) -> np.ndarray:
-        return np.argsort(arr, kind="stable")
+        return stable_order(arr)[1]
 
     def cumsum(self, arr: Any) -> np.ndarray:
         return np.cumsum(arr)

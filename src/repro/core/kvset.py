@@ -36,6 +36,8 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
+from ..primitives import stable_order
+
 __all__ = [
     "KeyValueSet",
     "CODEC_VERSION",
@@ -273,9 +275,8 @@ class KeyValueSet:
             raise ValueError("need one part id per pair")
         if len(self) and (part_ids.min() < 0 or part_ids.max() >= n_parts):
             raise ValueError("part id out of range")
-        order = np.argsort(part_ids, kind="stable")
-        counts = np.bincount(part_ids, minlength=n_parts)
-        bounds = np.concatenate(([0], np.cumsum(counts)))
+        sorted_ids, order = stable_order(part_ids)
+        bounds = np.searchsorted(sorted_ids, np.arange(n_parts + 1, dtype=sorted_ids.dtype))
         return [
             self.select(order[bounds[p] : bounds[p + 1]]) for p in range(n_parts)
         ]

@@ -7,9 +7,9 @@ Each primitive has two faces:
   :class:`~repro.hw.kernel.KernelLaunch` descriptors that the GPMR
   pipeline charges to the simulated GPU.
 
-Primitives: scan (plain/segmented), reduce (full/segmented), LSD radix
-sort (keys / key-value pairs), stream compaction, histogram, and
-duplicate-key elimination over sorted keys.
+Primitives: scan (plain/segmented), reduce (full/segmented), stable
+integer sort priced as LSD radix passes (keys / key-value pairs),
+stream compaction, histogram, and duplicate-key elimination.
 """
 
 from .common import DEFAULT_BLOCK, grid_for, launch_1d
@@ -23,6 +23,7 @@ from .sort import (
     radix_sort_cost,
     radix_sort_pairs,
     significant_bits,
+    stable_order,
 )
 from .unique import KeyRuns, unique_segments, unique_segments_cost
 
@@ -43,6 +44,7 @@ __all__ = [
     "radix_sort_cost",
     "bitonic_sort_cost",
     "significant_bits",
+    "stable_order",
     "compact",
     "compact_cost",
     "histogram",

@@ -1,14 +1,18 @@
-"""LSD radix sort — the CUDPP/Satish-et-al. sort role.
+"""Stable integer sort — the CUDPP/Satish-et-al. sort role.
 
-This is a genuine least-significant-digit radix sort built from
-counting-sort passes (histogram + exclusive scan + stable scatter), not
-a call to ``np.sort``: the pass structure is what gives the cost model
-its shape (cost scales with passes = ceil(key_bits / digit_bits), as in
-Satish, Harris & Garland, IPDPS 2009, which the paper uses via CUDPP).
+On the host, :func:`stable_order` packs each key with its row index
+into one ``uint64`` word (``key << index_bits | index``) and sorts the
+words once with ``np.sort``; the words are distinct, so the order is
+exactly ``np.argsort(kind="stable")``'s.  Keys too wide to share a word
+with their index fall back to that call.  The GPU's LSD radix pass
+structure lives only in :func:`radix_sort_cost`: one counting-sort
+launch per ``DIGIT_BITS`` digit, as in Satish, Harris & Garland, IPDPS
+2009, which the paper uses via CUDPP.
 
-``radix_sort_pairs`` carries a value payload through the scatter, which
-is how GPMR sorts its key-value sets.  Values may be any ndarray whose
-first dimension matches the keys (e.g. ``(n, dims)`` float blocks).
+``radix_sort_pairs`` carries a value payload through the permutation,
+which is how GPMR sorts its key-value sets.  Values may be any ndarray
+whose first dimension matches the keys (e.g. ``(n, dims)`` float
+blocks).
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from .common import accel_namespace_for, as_1d_array, launch_1d
 from ..hw.kernel import KernelLaunch
 
 __all__ = [
+    "stable_order",
     "radix_sort",
     "radix_sort_pairs",
     "radix_sort_cost",
@@ -35,34 +40,35 @@ DIGIT_BITS = 8
 def significant_bits(keys: np.ndarray) -> int:
     """Number of key bits the sort must process (max over the array)."""
     k = as_1d_array(keys)
-    if len(k) == 0:
-        return 0
     if k.dtype.kind not in "iu":
         raise TypeError(f"radix sort requires integer keys, got {k.dtype}")
-    mx = int(k.max(initial=0))
-    mn = int(k.min(initial=0))
-    if mn < 0:
+    if len(k) == 0:
+        return 0
+    if int(k.min()) < 0:
         raise ValueError("radix sort requires non-negative keys")
-    return max(int(mx).bit_length(), 1)
+    return max(int(k.max()).bit_length(), 1)
 
 
-def _counting_pass(keys: np.ndarray, order: np.ndarray, shift: int) -> np.ndarray:
-    """One stable counting-sort pass on the digit at ``shift``.
+def stable_order(keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``(keys[order], order)``, ``order`` being the stable ascending
+    permutation of non-negative integer ``keys`` (``np.argsort``'s)."""
+    k = as_1d_array(keys)
+    index_bits = max(len(k) - 1, 0).bit_length()
+    if significant_bits(k) + index_bits > 64:
+        order = np.argsort(k, kind="stable")
+        return k[order], order
+    shift = np.uint64(index_bits)
+    words = k.astype(np.uint64) << shift
+    words |= np.arange(len(k), dtype=np.uint64)
+    words.sort()
+    sorted_keys = (words >> shift).astype(k.dtype)
+    words &= np.uint64((1 << index_bits) - 1)
+    return sorted_keys, words.view(np.int64)
 
-    NumPy's ``argsort(kind="stable")`` on a uint8 array *is* a counting
-    sort internally (radix dispatch for small integer dtypes), so this
-    delegates the histogram+scan+stable-scatter to one call while
-    keeping the pass-per-digit structure explicit for the cost model.
-    """
-    digits = ((keys[order] >> shift) & ((1 << DIGIT_BITS) - 1)).astype(np.uint8)
-    perm = np.argsort(digits, kind="stable")
-    return order[perm]
 
-
-def radix_sort(keys: np.ndarray, key_bits: Optional[int] = None) -> np.ndarray:
-    """Return ``keys`` sorted ascending (stable), via LSD radix passes."""
-    sorted_keys, _ = radix_sort_pairs(keys, None, key_bits=key_bits)
-    return sorted_keys
+def radix_sort(keys: np.ndarray) -> np.ndarray:
+    """Return ``keys`` sorted ascending (stable)."""
+    return radix_sort_pairs(keys, None)[0]
 
 
 def radix_sort_pairs(
@@ -70,20 +76,18 @@ def radix_sort_pairs(
     values: Optional[np.ndarray],
     key_bits: Optional[int] = None,
 ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-    """Stable-sort ``keys`` carrying ``values``; returns sorted copies."""
+    """Stable-sort ``keys`` carrying ``values``; returns sorted copies.
+
+    ``key_bits`` is a GPU pass budget for :func:`radix_sort_cost`; the
+    order always covers every bit the keys hold.
+    """
     ns = accel_namespace_for(keys)
     if ns is not None:
         return ns.sort_pairs(keys, values, key_bits=key_bits)
     k = as_1d_array(keys)
-    if k.dtype.kind not in "iu":
-        raise TypeError(f"radix sort requires integer keys, got {k.dtype}")
     if values is not None and len(values) != len(k):
         raise ValueError("values must have the same length as keys")
-    bits = significant_bits(k) if key_bits is None else int(key_bits)
-    order = np.arange(len(k), dtype=np.int64)
-    for shift in range(0, bits, DIGIT_BITS):
-        order = _counting_pass(k, order, shift)
-    sorted_keys = k[order]
+    sorted_keys, order = stable_order(k)
     sorted_values = values[order] if values is not None else None
     return sorted_keys, sorted_values
 

@@ -14,6 +14,7 @@ from repro.core import (
     SumPartialReducer,
 )
 from repro.hw import GT200, kernel_duration
+from repro.primitives import radix_sort_pairs
 from repro.util.rng import generator
 
 
@@ -161,6 +162,18 @@ def test_radix_sorter_pinned_bits_cheaper():
     t_wide = sum(kernel_duration(GT200, l) for l in wide.sort_cost(1 << 20, 32, 8))
     t_narrow = sum(kernel_duration(GT200, l) for l in narrow.sort_cost(1 << 20, 32, 8))
     assert t_narrow == pytest.approx(t_wide / 2, rel=0.01)
+
+
+def test_radix_sorter_pinned_bits_narrower_than_keys_still_sorts():
+    # A 4-bit pin prices one 8-bit pass; keys of 12 bits need two.
+    keys = generator(3).integers(0, 1 << 12, 1000)
+    order = np.argsort(keys, kind="stable")
+    out = RadixSorter(key_bits=4).sort(kv(keys, np.arange(1000)))
+    np.testing.assert_array_equal(out.keys, keys[order])
+    np.testing.assert_array_equal(out.values, order)
+    sk, sv = radix_sort_pairs(keys.astype(np.uint32), np.arange(1000), key_bits=4)
+    np.testing.assert_array_equal(sk, keys[order])
+    np.testing.assert_array_equal(sv, order)
 
 
 def test_radix_sorter_validation():

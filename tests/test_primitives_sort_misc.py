@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from repro.core import KeyValueSet
 from repro.hw import GT200, kernel_duration
 from repro.primitives import (
     compact,
@@ -60,6 +61,15 @@ def test_radix_sort_rejects_floats_and_negatives():
         radix_sort(np.array([1.5, 2.5]))
     with pytest.raises(ValueError):
         radix_sort(np.array([-1, 2], dtype=np.int64))
+    with pytest.raises(TypeError):
+        radix_sort_pairs(np.array([1.5, 0.5]), np.arange(2))
+    with pytest.raises(ValueError):
+        radix_sort_pairs(np.array([3, -1], dtype=np.int32), np.arange(2))
+    pairs = KeyValueSet(keys=np.arange(2, dtype=np.uint32), values=np.arange(2))
+    with pytest.raises(TypeError):
+        pairs.split_by(np.array([1.0, 0.0]), 2)
+    with pytest.raises(ValueError):
+        pairs.split_by(np.array([-1, 0], dtype=np.int64), 2)
 
 
 def test_radix_sort_value_length_mismatch():
@@ -91,6 +101,55 @@ def test_property_radix_sort_pairs_is_permutation(keys):
     np.testing.assert_array_equal(np.sort(sk), np.sort(keys))
     np.testing.assert_array_equal(np.sort(sv), vals)
     np.testing.assert_array_equal(keys[sv], sk)
+
+
+#: Key dtypes the Sort stage and the partition split see, with the
+#: widest non-negative key each can hold.
+_KEY_DTYPES = {np.int32: 31, np.int64: 63, np.uint32: 32, np.uint64: 64}
+
+
+@st.composite
+def _keys(draw, max_bits=64):
+    """Integer keys with many ties, up to ~2000 long, 1 to 64 bits wide.
+
+    Widths near 64 with more than one key overflow the packed word and
+    exercise the ``np.argsort`` fallback; narrower ones the packed sort.
+    """
+    dtype = draw(st.sampled_from(sorted(_KEY_DTYPES, key=str)))
+    top = min(_KEY_DTYPES[dtype], max_bits)
+    bits = draw(st.integers(1, top) | st.just(top))
+    n = draw(st.integers(0, 2000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pool = rng.integers(0, 2**bits, size=draw(st.integers(1, 16)), dtype=np.uint64)
+    pool[0] = 2**bits - 1  # the key width is exactly ``bits``
+    return pool[rng.integers(0, len(pool), size=n)].astype(dtype)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_keys())
+def test_property_radix_sort_pairs_is_stable_argsort(keys):
+    payload = np.arange(len(keys)) * 3 + 1
+    sk, sv = radix_sort_pairs(keys, payload)
+    order = np.argsort(keys, kind="stable")
+    assert sk.dtype == keys.dtype
+    np.testing.assert_array_equal(sk, keys[order])
+    np.testing.assert_array_equal(sv, payload[order])
+
+
+@settings(max_examples=100, deadline=None)
+@given(_keys(max_bits=9), st.integers(0, 2))
+def test_property_host_split_by_is_stable_argsort(ids, empty_parts):
+    n_parts = int(ids.max(initial=0)) + 1 + empty_parts
+    pairs = KeyValueSet(
+        keys=np.arange(len(ids), dtype=np.uint32), values=np.arange(len(ids)) * 3 + 1
+    )
+    parts = pairs.split_by(ids, n_parts)
+    order = np.argsort(ids, kind="stable")
+    assert len(parts) == n_parts
+    np.testing.assert_array_equal(np.concatenate([p.values for p in parts]), pairs.values[order])
+    np.testing.assert_array_equal(np.concatenate([p.keys for p in parts]), pairs.keys[order])
+    for p, part in enumerate(parts):
+        assert len(part) == int(np.count_nonzero(ids == p))
 
 
 def test_radix_sort_cost_scales_with_key_bits():
