@@ -12,40 +12,60 @@ from the longest queue at runtime, and every run records the resulting
 shuffle peer-to-peer over TCP sockets, and report results (or remote
 tracebacks) back over their control connection.
 
+The fabric is **resident**, like the local backend's ranks: the first
+:meth:`ClusterExecutor.run` opens the coordinator, spawns the ranks and
+registers them, and every later run only ships ASSIGN, passes the
+start barrier and collects results over the same control connections
+— the ranks loop over jobs until the coordinator hangs up.
+``close()`` (or the executor being collected unclosed) closes the
+coordinator, which every rank sees as EOF and exits on, and joins the
+spawned ranks; a run that fails tears the fabric down so the next run
+starts fresh.
+
 By default the executor spawns one rank process per worker on this
 host, all over ``127.0.0.1`` — the test and single-node configuration.
 The wire protocol is host-agnostic, so the same driver serves a real
 multi-host run: construct with ``spawn_ranks=False`` (and typically
 ``host="0.0.0.0"``), read the port from
-:attr:`ClusterExecutor.coordinator_address`, and start each rank with
+:attr:`ClusterExecutor.coordinator_address` once the first run is
+waiting for registrations, and start each rank with
 ``python -m repro.fabric.launch --coordinator host:port --rank N`` —
-no code changes.  (With a wildcard bind, ``--coordinator`` takes the
-driver's *real* interface address; ``0.0.0.0`` is bindable, not
-dialable.)
+no code changes.  Launched ranks go through the same lifecycle as
+spawned ones: they serve every run until ``close()``.  (With a
+wildcard bind, ``--coordinator`` takes the driver's *real* interface
+address; ``0.0.0.0`` is bindable, not dialable.)
 
 Failure handling matches the local backend's contract: a rank that
 raises ships its traceback upstream and the driver re-raises
 :class:`WorkerFailure`; a rank that dies hard is caught either by the
 coordinator (its control socket hits EOF) or by the driver's process
-liveness probe, never waited out.
+liveness probe, never waited out.  Under a
+:class:`~repro.core.faults.FaultPlan` a rank killed mid-map is
+respawned and rejoins mid-run; the replacement then stays resident.
 """
 
 from __future__ import annotations
 
 import multiprocessing as mp
+import os
 import sys
 import time
 import traceback
-from typing import Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from .local import WorkerFailure, _default_start_method, dead_worker_failure
+from .local import (
+    WorkerFailure,
+    _default_start_method,
+    _ResidentExecutor,
+    dead_worker_failure,
+)
 from ..core.chunk import Chunk
-from ..core.executor import Executor, register_backend
+from ..core.executor import register_backend
 from ..core.faults import FaultPlan
 from ..core.job import MapReduceJob
 from ..core.kvset import KeyValueSet
 from ..core.runtime import JobResult, resolve_chunks
-from ..core.scheduler import DEFAULT_PREFETCH_WINDOW, ScheduleTrace
+from ..core.scheduler import DEFAULT_PREFETCH_WINDOW, ChunkService, ScheduleTrace
 from ..core.stats import JobStats, WorkerStats
 from ..obs import Observability
 from ..fabric import (
@@ -91,8 +111,149 @@ def _rank_main(
         sys.exit(1)
 
 
-class ClusterExecutor(Executor):
-    """Execute jobs on ``n_workers`` ranks joined by the TCP fabric."""
+class _Ranks:
+    """A :class:`ClusterExecutor`'s resident fabric: the coordinator
+    with its registered rank connections, and the rank processes it
+    spawned (none when the ranks are launched externally).
+
+    It holds no reference to the executor, so an executor dropped
+    without ``close()`` is still collected and its finalizer can call
+    :meth:`shutdown` on this object.
+    """
+
+    def __init__(
+        self,
+        coordinator: Coordinator,
+        ctx,
+        timeout_seconds: float,
+        max_frame_bytes: int,
+        auth_key: Optional[bytes],
+    ) -> None:
+        self.owner_pid = os.getpid()
+        self.coordinator: Optional[Coordinator] = coordinator
+        #: multiprocessing context ranks are spawned from; None when
+        #: they are launched externally (``repro.fabric.launch``)
+        self.ctx = ctx
+        n_workers = coordinator.n_workers
+        # A wildcard bind is not dialable; local ranks always reach a
+        # wildcard-bound coordinator over loopback.
+        dial_host = (
+            "127.0.0.1"
+            if coordinator.host in ("0.0.0.0", "::", "")
+            else coordinator.host
+        )
+        self._rank_args = (
+            dial_host, coordinator.port, timeout_seconds, max_frame_bytes
+        )
+        self.auth_key = auth_key
+        #: the current run's fault plan and per-rank respawn budget
+        self.fault: Optional[FaultPlan] = None
+        self.respawns_left: Dict[int, int] = {}
+        #: processes started per rank; the incarnation in the name
+        self._started = [0] * n_workers
+        self.procs: List[mp.process.BaseProcess] = []
+        if ctx is None:
+            return
+        try:
+            for rank in range(n_workers):
+                self.procs.append(self._start(rank))
+        except BaseException:
+            self.shutdown()
+            raise
+
+    def _start(self, rank: int, listen_port: int = 0) -> mp.process.BaseProcess:
+        # Any incarnation after the first is a mid-run replacement.
+        incarnation = self._started[rank]
+        host, port, timeout_seconds, max_frame_bytes = self._rank_args
+        proc = self.ctx.Process(
+            target=_rank_main,
+            args=(
+                rank, host, port, timeout_seconds, max_frame_bytes,
+                listen_port, incarnation > 0, self.auth_key,
+            ),
+            name=f"gpmr-cluster-r{rank}.{incarnation}",
+            daemon=True,
+        )
+        self._started[rank] += 1
+        proc.start()
+        return proc
+
+    def healthy(self) -> bool:
+        return all(p.is_alive() for p in self.procs)
+
+    def begin(
+        self, fault: Optional[FaultPlan], obs: Optional[Observability]
+    ) -> Coordinator:
+        """Arm the fabric for one run; returns its coordinator."""
+        self.fault = fault
+        self.respawns_left = {
+            rank: (0 if fault is None else fault.max_respawns)
+            for rank in range(self.coordinator.n_workers)
+        }
+        self.coordinator.begin_run(
+            obs=obs,
+            liveness_probe=self.probe if self.ctx is not None else None,
+        )
+        return self.coordinator
+
+    def probe(self) -> None:
+        """Raise for a spawned rank that died with no respawn due.
+
+        Under a fault plan a dead rank is not (yet) a failure: the
+        coordinator notices the broken control socket and decides —
+        reclaim + respawn, or raise RankFailure once the
+        budget/recoverability runs out.
+        """
+        candidates = [
+            p for rank, p in enumerate(self.procs)
+            if not (self.fault is not None and self.respawns_left[rank] > 0)
+        ]
+        failure = dead_worker_failure(candidates)
+        if failure is not None:
+            raise failure
+
+    def respawn(self, rank: int, listen_port: int) -> bool:
+        """Coordinator callback: restart a dead rank's process as a
+        rejoining replacement on the same shuffle port.  False once the
+        budget is spent.  The replacement stays resident."""
+        if self.fault is None or self.respawns_left.get(rank, 0) <= 0:
+            return False
+        self.respawns_left[rank] -= 1
+        self.procs[rank] = self._start(rank, listen_port)
+        return True
+
+    def terminate(self) -> None:
+        """Kill the spawned ranks at once (a failed run's ranks may be
+        blocked mid-job, where closing the fabric cannot reach them)."""
+        for p in self.procs:
+            if p.is_alive():
+                p.terminate()
+
+    def shutdown(self) -> None:
+        """Close the coordinator, then join the spawned ranks.
+
+        Closing sends every rank EOF on its control connection; a rank
+        idling between jobs exits on it with code 0, which is also how
+        externally launched ranks learn the driver is done.  A spawned
+        rank that has not exited within the grace is terminated.
+        Idempotent.
+        """
+        if os.getpid() != self.owner_pid or self.coordinator is None:
+            return  # a forked child's copy, or already shut down
+        coordinator, self.coordinator = self.coordinator, None
+        coordinator.close()
+        deadline = time.monotonic() + 5.0
+        for p in self.procs:
+            p.join(timeout=max(0.0, deadline - time.monotonic()))
+        self.terminate()
+        for p in self.procs:
+            p.join(timeout=5.0)
+
+
+class ClusterExecutor(_ResidentExecutor):
+    """Execute jobs on ``n_workers`` resident ranks joined by the TCP
+    fabric (lifecycle in the module docstring); :meth:`reset` keeps the
+    ranks, so a pooled executor stays warm across leases."""
 
     name = "cluster"
 
@@ -146,10 +307,38 @@ class ClusterExecutor(Executor):
         #: zlib-deflate shuffle chunks on the wire (worth it only when
         #: a real NIC, not loopback, is the bottleneck)
         self.compress_exchange = bool(compress_exchange)
-        #: (host, port) of the live coordinator; set for the duration of
-        #: :meth:`run` — the address external ranks dial when
-        #: ``spawn_ranks=False``.
-        self.coordinator_address: Optional[tuple] = None
+
+    @property
+    def coordinator_address(self) -> Optional[tuple]:
+        """(host, port) of the resident coordinator — the address
+        external ranks dial when ``spawn_ranks=False``.  Set from the
+        first run until :meth:`close` or a failed run's teardown."""
+        ranks = self._ranks
+        coordinator = None if ranks is None else ranks.coordinator
+        return None if coordinator is None else coordinator.address
+
+    def _open_ranks(self) -> _Ranks:
+        coordinator = Coordinator(
+            self.n_workers,
+            host=self.host,
+            port=self.port,
+            timeout_seconds=self.timeout_seconds,
+            max_frame_bytes=self.max_frame_bytes,
+            compress_exchange=self.compress_exchange,
+            auth_key=self.auth_key,
+            prefetch_window=self.prefetch_window,
+        )
+        try:
+            return _Ranks(
+                coordinator,
+                mp.get_context(self.start_method) if self.spawn_ranks else None,
+                self.timeout_seconds,
+                self.max_frame_bytes,
+                self.auth_key,
+            )
+        except BaseException:
+            coordinator.close()
+            raise
 
     def run(
         self,
@@ -196,107 +385,20 @@ class ClusterExecutor(Executor):
             obs=run_obs,
         )
 
-        procs: Dict[int, mp.process.BaseProcess] = {}
-        respawns_left = {
-            rank: (0 if fault is None else fault.max_respawns)
-            for rank in range(self.n_workers)
-        }
-
-        def _probe() -> None:
-            # Under a fault plan a dead rank is not (yet) a failure:
-            # the coordinator notices the broken control socket and
-            # decides — reclaim + respawn, or raise RankFailure once
-            # the budget/recoverability runs out.
-            candidates = [
-                p for rank, p in procs.items()
-                if not (fault is not None and respawns_left[rank] > 0)
-            ]
-            failure = dead_worker_failure(candidates)
-            if failure is not None:
-                raise failure
-
         t_start = time.perf_counter()
-        with Coordinator(
-            self.n_workers,
-            host=self.host,
-            port=self.port,
-            timeout_seconds=self.timeout_seconds,
-            max_frame_bytes=self.max_frame_bytes,
-            liveness_probe=_probe if self.spawn_ranks else None,
-            compress_exchange=self.compress_exchange,
-            obs=run_obs,
-            auth_key=self.auth_key,
-            prefetch_window=self.prefetch_window,
-        ) as coordinator:
-            self.coordinator_address = coordinator.address
-            respawner = None
-            if self.spawn_ranks:
-                # A wildcard bind is not dialable; local ranks always
-                # reach a wildcard-bound coordinator over loopback.
-                dial_host = (
-                    "127.0.0.1"
-                    if coordinator.host in ("0.0.0.0", "::", "")
-                    else coordinator.host
-                )
-                ctx = mp.get_context(self.start_method)
-
-                def spawn(rank: int, incarnation: int, listen_port: int = 0):
-                    return ctx.Process(
-                        target=_rank_main,
-                        args=(
-                            rank,
-                            dial_host,
-                            coordinator.port,
-                            self.timeout_seconds,
-                            self.max_frame_bytes,
-                            listen_port,
-                            incarnation > 0,
-                            self.auth_key,
-                        ),
-                        name=f"gpmr-cluster-r{rank}.{incarnation}",
-                        daemon=True,
-                    )
-
-                for rank in range(self.n_workers):
-                    procs[rank] = spawn(rank, 0)
-                for p in procs.values():
-                    p.start()
-
-                def respawner(rank: int, listen_port: int) -> bool:
-                    """Coordinator callback: restart a dead rank's
-                    process as a rejoining replacement on the same
-                    shuffle port.  False once the budget is spent."""
-                    if respawns_left.get(rank, 0) <= 0 or fault is None:
-                        return False
-                    respawns_left[rank] -= 1
-                    incarnation = fault.max_respawns - respawns_left[rank]
-                    procs[rank] = spawn(rank, incarnation, listen_port)
-                    procs[rank].start()
-                    return True
-
+        # One run at a time on the one set of ranks.
+        with self._run_lock:
             try:
-                coordinator.wait_for_ranks()
-                coordinator.broadcast_assignments(job, fault_plan=fault)
-                coordinator.barrier("start")
-                collected = coordinator.collect_results(
-                    chunk_service=service,
-                    respawner=respawner if fault is not None else None,
+                collected, obs_payloads = self._run_on_ranks(
+                    job, service, run_obs
                 )
-            except RankFailure as exc:
-                raise WorkerFailure(exc.rank, exc.detail) from exc
-            except PeerDisconnected as exc:
-                # Recv-side deaths become RankFailure inside the
-                # coordinator; this catches the rare send-side races so
-                # the documented contract (WorkerFailure or
-                # TimeoutError) holds for every rank-death path.
-                raise WorkerFailure(-1, f"a rank disconnected: {exc}") from exc
-            finally:
-                self.coordinator_address = None
-                for p in procs.values():
-                    if p.is_alive():
-                        p.terminate()
-                for p in procs.values():
-                    p.join(timeout=5.0)
+            except BaseException:
+                # Ranks of a failed run may be blocked mid-job, where
+                # the coordinator's hang-up cannot reach them.
+                if self._ranks is not None:
+                    self._ranks.terminate()
+                self._teardown()
+                raise
 
         outputs: List[Optional[KeyValueSet]] = [None] * self.n_workers
         worker_stats: List[WorkerStats] = []
@@ -306,17 +408,9 @@ class ClusterExecutor(Executor):
                 stats if stats is not None else WorkerStats(rank=rank)
             )
         if run_obs is not None:
-            for payload in coordinator.obs_payloads.values():
+            for payload in obs_payloads.values():
                 run_obs.absorb(payload)
 
-        # Every chunk must have been granted: a rank that reported a
-        # result without draining the service would silently drop work.
-        if service.remaining:
-            raise WorkerFailure(
-                -1,
-                f"all ranks reported results but {service.remaining} "
-                "chunk(s) were never granted",
-            )
         # Ranks report the chunks/steals they pulled over the wire; the
         # service logged what it granted.  The ledgers must agree.
         service.validate_ledgers(worker_stats)
@@ -340,6 +434,48 @@ class ClusterExecutor(Executor):
             schedule=schedule if schedule is not None else service.trace,
             obs=run_obs,
         )
+
+    def _run_on_ranks(
+        self,
+        job: MapReduceJob,
+        service: ChunkService,
+        run_obs: Optional[Observability],
+    ) -> Tuple[List[Tuple[int, Any, Any]], Dict[int, Any]]:
+        """Run one job on the resident ranks: register them on the
+        first run, then ASSIGN, start barrier and result collection.
+        Returns the rank results and their obs payloads."""
+        fault = self.fault_plan
+        ranks = self._acquire_ranks()
+        coordinator = ranks.begin(fault, run_obs)
+        respawner = (
+            ranks.respawn
+            if fault is not None and ranks.ctx is not None
+            else None
+        )
+        try:
+            coordinator.wait_for_ranks()  # returns at once once registered
+            coordinator.broadcast_assignments(job, fault_plan=fault)
+            coordinator.barrier("start")
+            collected = coordinator.collect_results(
+                chunk_service=service, respawner=respawner
+            )
+        except RankFailure as exc:
+            raise WorkerFailure(exc.rank, exc.detail) from exc
+        except PeerDisconnected as exc:
+            # Recv-side deaths become RankFailure inside the
+            # coordinator; this catches the rare send-side races so
+            # the documented contract (WorkerFailure or
+            # TimeoutError) holds for every rank-death path.
+            raise WorkerFailure(-1, f"a rank disconnected: {exc}") from exc
+        # Every chunk must have been granted: a rank that reported a
+        # result without draining the service would silently drop work.
+        if service.remaining:
+            raise WorkerFailure(
+                -1,
+                f"all ranks reported results but {service.remaining} "
+                "chunk(s) were never granted",
+            )
+        return collected, coordinator.obs_payloads
 
 
 register_backend(ClusterExecutor.name, ClusterExecutor)

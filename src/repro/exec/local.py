@@ -668,7 +668,57 @@ def _drain_undelivered(shuffle_queues: List[mp.Queue]) -> None:
     t.join(timeout=5.0)
 
 
-class LocalExecutor(Executor):
+class _ResidentExecutor(Executor):
+    """The rank lifecycle shared by the backends with resident ranks.
+
+    :meth:`_open_ranks` builds a rank set on the first run; every later
+    run reuses it while :meth:`healthy` holds.  ``close()``, or the
+    executor being collected unclosed, calls the set's ``shutdown``
+    through a ``weakref.finalize`` — so the set must hold no reference
+    to the executor.  :meth:`_teardown` after a failed run makes the
+    next run open a fresh set.  Runs are serialised by ``_run_lock``.
+    """
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        #: the resident rank set (None until the first run, and after a
+        #: failed run tore it down)
+        self._ranks = None
+        self._finalizer: Optional[weakref.finalize] = None
+        self._run_lock = threading.Lock()
+
+    @property
+    def rank_pids(self) -> List[Optional[int]]:
+        """PIDs of the resident rank processes in rank order ([] before
+        the first run and after a teardown)."""
+        return [] if self._ranks is None else [p.pid for p in self._ranks.procs]
+
+    def _open_ranks(self):
+        raise NotImplementedError
+
+    def _acquire_ranks(self):
+        """The resident ranks, opened now if there are none or one died
+        between runs."""
+        ranks = self._ranks
+        if ranks is not None and ranks.healthy():
+            return ranks
+        self._teardown()
+        ranks = self._open_ranks()
+        self._ranks = ranks
+        self._finalizer = weakref.finalize(self, ranks.shutdown)
+        return ranks
+
+    def _teardown(self) -> None:
+        if self._finalizer is not None:
+            self._finalizer()
+        self._ranks = None
+        self._finalizer = None
+
+    def _release(self) -> None:
+        self._teardown()
+
+
+class LocalExecutor(_ResidentExecutor):
     """Execute jobs for real on ``n_workers`` resident OS processes.
 
     The ranks start on the first :meth:`run` and serve every later run
@@ -732,42 +782,14 @@ class LocalExecutor(Executor):
             fault_plan.validate_for(n_workers)
             stall_seconds = fault_plan.merged_stalls(stall_seconds)
         self.stall_seconds: Dict[int, float] = dict(stall_seconds or {})
-        #: the resident ranks (None until the first run, and after a
-        #: failed run tore them down)
-        self._ranks: Optional[_Ranks] = None
-        self._finalizer: Optional[weakref.finalize] = None
-        self._run_lock = threading.Lock()
 
-    @property
-    def rank_pids(self) -> List[Optional[int]]:
-        """PIDs of the resident ranks ([] before the first run)."""
-        return [] if self._ranks is None else [p.pid for p in self._ranks.procs]
-
-    def _acquire_ranks(self) -> _Ranks:
-        """The resident ranks, spawned now if there are none or one died
-        between runs."""
-        ranks = self._ranks
-        if ranks is not None and ranks.healthy():
-            return ranks
-        self._teardown()
+    def _open_ranks(self) -> _Ranks:
         if self.exchange == "shm":
             # One tracker for the whole rank tree — see exchange docs.
             ensure_shared_tracker()
-        ranks = _Ranks(
+        return _Ranks(
             mp.get_context(self.start_method), self.n_workers, self.exchange
         )
-        self._ranks = ranks
-        self._finalizer = weakref.finalize(self, ranks.shutdown)
-        return ranks
-
-    def _teardown(self) -> None:
-        if self._finalizer is not None:
-            self._finalizer()
-        self._ranks = None
-        self._finalizer = None
-
-    def _release(self) -> None:
-        self._teardown()
 
     def run(
         self,

@@ -87,7 +87,12 @@ class RankFailure(FabricError):
 
 
 class Coordinator:
-    """Rank registry, broadcaster, barrier, and result sink for one job.
+    """Rank registry, broadcaster, barrier, and result sink.
+
+    One coordinator can serve many jobs on the same registered ranks:
+    :meth:`begin_run` resets the per-run state, and
+    :meth:`wait_for_ranks` returns at once while every rank is still
+    registered.
 
     ``liveness_probe`` (optional) is called on every poll tick of every
     blocking phase; it should raise if it knows a rank already died
@@ -155,17 +160,43 @@ class Coordinator:
     def address(self) -> Tuple[str, int]:
         return (self.host, self.port)
 
+    def begin_run(
+        self,
+        obs: Optional[Any] = None,
+        liveness_probe: Optional[Callable[[], None]] = None,
+    ) -> None:
+        """Arm the coordinator for one more job on its registered ranks.
+
+        A resident fabric serves many runs; each starts from a clean
+        per-run state: its own observability bundle, no RESULT-frame
+        payloads, no job blob and the run's liveness probe.  The rank
+        connections, peer directory and membership epoch carry over.
+        """
+        self.obs = obs if obs is not None else NULL_OBS
+        self.obs_payloads = {}
+        self.liveness_probe = liveness_probe
+        self._job_blob = None
+        self._fault_plan = None
+
     def close(self) -> None:
-        for conn in self._conns.values():
+        """Hang up on every rank and stop listening.
+
+        ``shutdown`` first: rank processes forked later by this driver
+        (another executor's ranks, a respawned replacement) inherit
+        duplicates of these sockets, and a bare ``close`` of one
+        duplicate sends no EOF.  With it, every rank idling between
+        jobs sees EOF at once and exits.
+        """
+        for sock in [*self._conns.values(), self._listener]:
             try:
-                conn.close()
+                sock.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass  # already reset by the peer, or not connected
+            try:
+                sock.close()
             except OSError:
                 pass
         self._conns.clear()
-        try:
-            self._listener.close()
-        except OSError:
-            pass
 
     def __enter__(self) -> "Coordinator":
         return self

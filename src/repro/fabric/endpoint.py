@@ -78,8 +78,8 @@ from ..obs import BYTES_BUCKETS, NULL_OBS, Observability
 
 __all__ = ["RankEndpoint", "run_rank"]
 
-#: Accept-loop wake interval: how often exchange() re-checks its
-#: deadline while waiting for inbound batches.
+#: Accept-loop wake interval: how often the inbox thread re-checks
+#: whether the endpoint was closed while no batch is arriving.
 _POLL_SECONDS = 0.2
 
 
@@ -105,9 +105,10 @@ class RankEndpoint:
         #: shared secret for the coordinator's HMAC handshake; must
         #: match the coordinator's key (or be None when it has none)
         self.auth_key = auth_key
-        #: True when this endpoint is a replacement incarnation joining
-        #: a run already past its start barrier (its HELLO says so, and
-        #: :meth:`run_job` skips the barrier)
+        #: True while this endpoint is a replacement incarnation joining
+        #: a run already past its start barrier (its HELLO says so, the
+        #: ASSIGN confirms it per job, and :meth:`run_job` skips the
+        #: barrier)
         self.rejoin = bool(rejoin)
         # Data plane first: the listener must exist before HELLO
         # advertises it, so no peer can ever dial a closed port.  A
@@ -139,11 +140,6 @@ class RankEndpoint:
         #: scripted fault injection, learned from ASSIGN
         self._kill_at_chunk: Optional[int] = None
         self._stall_seconds = 0.0
-        self._grants_received = 0
-        #: wire frames this rank's outbound shuffle used (BATCH +
-        #: BATCH_DATA, summed over destinations) — the coalescing
-        #: effectiveness measure surfaced as WorkerStats.shuffle_frames_sent
-        self.frames_sent = 0
         self._frames_lock = threading.Lock()
         #: zlib-deflate outbound shuffle chunks (the driver's choice,
         #: learned from ASSIGN; receivers accept either form always)
@@ -156,24 +152,40 @@ class RankEndpoint:
         #: answers so the next grant is usually already buffered while
         #: the current chunk maps (0 = fully synchronous request/reply)
         self.prefetch_window = 0
+        # Early-exchange inbox: a background thread accepts inbound
+        # shuffle batches while this rank is still mapping, so the
+        # exchange barrier only waits for genuinely late data.  The
+        # condition guards the inbox state, the posted flag and the
+        # held connections; the inbox thread notifies it when a batch
+        # lands and when it exits or fails.
+        self._inbox_cond = threading.Condition()
+        self._inbox_stop = threading.Event()
+        self._reset_job_state()
+
+    def _reset_job_state(self) -> None:
+        """Forget the previous job's exchange, grant and fault state.
+
+        A resident rank serves many jobs on one endpoint; every ASSIGN
+        starts from here.
+        """
+        self._grants_received = 0
+        #: wire frames this rank's outbound shuffle used (BATCH +
+        #: BATCH_DATA, summed over destinations) — the coalescing
+        #: effectiveness measure surfaced as WorkerStats.shuffle_frames_sent
+        self.frames_sent = 0
         #: CHUNK_REQ frames sent but not yet answered
         self._pending_reqs = 0
         #: a non-retry CHUNKS_DONE arrived; stop topping up and drain
         self._draining = False
-        # Early-exchange inbox: a background thread accepts inbound
-        # shuffle batches while this rank is still mapping, so the
-        # exchange barrier only waits for genuinely late data.  The
-        # condition guards the inbox state below; the inbox thread
-        # notifies it when a batch lands and when it exits or fails.
-        self._inbox_cond = threading.Condition()
         self._inbox_batches: List[Tuple[int, List[Any], Optional[List[int]]]] = []
         self._inbox_have: set = set()
         self._inbox_error: Optional[BaseException] = None
-        self._inbox_stop = threading.Event()
         self._inbox_thread: Optional[threading.Thread] = None
         #: set once MAPS_DONE is on the wire — inbound batches may not
-        #: be ACKed before this (see :meth:`_inbox_loop`)
-        self._posted_event = threading.Event()
+        #: be ACKed before this (see :meth:`start_inbox`)
+        self._posted = False
+        #: fully received batches whose BATCH_ACK waits for the post
+        self._held: List[socket.socket] = []
 
     # -- control plane -----------------------------------------------------
     def connect(self) -> None:
@@ -216,20 +228,32 @@ class RankEndpoint:
         self.epoch = int(welcome.get("epoch", 0))
 
     def receive_assignment(self) -> Any:
-        """Block for ASSIGN; returns the job and stores the peer map.
+        """Block for the next ASSIGN; returns the job and stores the
+        peer map and this job's settings.
 
+        The wait has no deadline: a resident rank idles here between
+        jobs for as long as the driver keeps it, and the coordinator
+        closing the connection raises :class:`PeerDisconnected`.
         Chunks are not in the frame — the rank pulls them one at a
         time via :meth:`request_chunk` after the start barrier.
         """
-        _, assign = recv_frame(
-            self._control, max_frame_bytes=self.max_frame_bytes, expect=MSG_ASSIGN
-        )
+        self._control.settimeout(None)
+        try:
+            _, assign = recv_frame(
+                self._control, max_frame_bytes=self.max_frame_bytes,
+                expect=MSG_ASSIGN,
+            )
+        finally:
+            self._control.settimeout(self.timeout_seconds)
+        self._reset_job_state()
+        # A replacement's first job joins mid-run, past the start
+        # barrier; its later jobs, like every other rank's, pass it.
+        self.rejoin = bool(assign.get("rejoin", False))
         self.n_workers = int(assign["n_workers"])
         self.peers = {int(r): tuple(a) for r, a in assign["peers"].items()}
         self.compress_exchange = bool(assign.get("compress_exchange", False))
         self.epoch = int(assign.get("epoch", self.epoch))
-        if assign.get("obs"):
-            self.obs = Observability()
+        self.obs = Observability() if assign.get("obs") else NULL_OBS
         self.prefetch_window = max(0, int(assign.get("prefetch", 0)))
         fault = assign.get("fault") or {}
         self._kill_at_chunk = fault.get("kill_at_chunk")
@@ -432,11 +456,12 @@ class RankEndpoint:
 
         ACK discipline: a batch that arrives before this rank has
         posted MAPS_DONE is received and buffered, but its BATCH_ACK is
-        *withheld* until the rank posts.  An ACK confirms delivery, and
-        a rank that dies mid-map must look undelivered-to — recovery
-        respawns it and reclaims exactly its un-posted map phase, so
-        its senders must resend to the replacement incarnation.  An
-        early ACK would let a batch vanish with the dead process.
+        *withheld* until the rank posts (:meth:`post` sends it).  An
+        ACK confirms delivery, and a rank that dies mid-map must look
+        undelivered-to — recovery respawns it and reclaims exactly its
+        un-posted map phase, so its senders must resend to the
+        replacement incarnation.  An early ACK would let a batch vanish
+        with the dead process.
         """
         if self._inbox_thread is not None:
             return
@@ -448,40 +473,47 @@ class RankEndpoint:
         )
         self._inbox_thread.start()
 
+    def _ack(self, conn: socket.socket) -> None:
+        """Confirm one received batch and hang up."""
+        try:
+            send_raw_frame(
+                conn, MSG_BATCH_ACK, b"", max_frame_bytes=self.max_frame_bytes
+            )
+        except (OSError, FabricError):
+            pass  # sender abandoned this attempt; it resends, dedup drops it
+        try:
+            conn.close()
+        except OSError:
+            pass
+
+    def post(self) -> None:
+        """Mark this rank's map output posted and ACK the held batches.
+
+        The posting thread sends the withheld ACKs itself, so a sender
+        whose batch arrived early is released the moment this rank
+        posts, not when the inbox thread next wakes.  Idempotent.
+        """
+        with self._inbox_cond:
+            self._posted = True
+            held, self._held = self._held, []
+        for conn in held:
+            self._ack(conn)
+
     def _inbox_loop(self, expected: int) -> None:
         """Accept, dedup, and buffer inbound batches until all arrive.
 
-        Every fully received batch is confirmed with BATCH_ACK (held
-        back until MAPS_DONE is posted, see :meth:`start_inbox`); a
-        second batch from a source that already delivered (its ACK got
-        lost, or a speculative-recovery resend) is acknowledged and
-        dropped by the dedup on source rank.
+        Every fully received batch is confirmed with BATCH_ACK — at
+        once when this rank has posted, else by :meth:`post` (see
+        :meth:`start_inbox`); a second batch from a source that already
+        delivered (its ACK got lost, or a speculative-recovery resend)
+        is acknowledged and dropped by the dedup on source rank.  The
+        thread exits once every source has arrived.
         """
-        unacked: List[socket.socket] = []
-
-        def _flush_acks() -> None:
-            for held in unacked:
-                try:
-                    send_raw_frame(
-                        held, MSG_BATCH_ACK, b"",
-                        max_frame_bytes=self.max_frame_bytes,
-                    )
-                except (OSError, FabricError):
-                    pass  # sender abandoned this attempt; dedup covers it
-                try:
-                    held.close()
-                except OSError:
-                    pass
-            unacked.clear()
-
         try:
             while not self._inbox_stop.is_set():
-                if self._posted_event.is_set() and unacked:
-                    _flush_acks()
                 with self._inbox_cond:
-                    done = len(self._inbox_have) >= expected
-                if done and not unacked:
-                    break
+                    if len(self._inbox_have) >= expected:
+                        break
                 try:
                     conn, _addr = self._shuffle_listener.accept()
                 except socket.timeout:
@@ -505,22 +537,15 @@ class RankEndpoint:
                         self._inbox_have.add(int(src))
                         self._inbox_batches.append((int(src), parts, tags))
                         self._inbox_cond.notify_all()
-                if self._posted_event.is_set():
-                    try:
-                        send_raw_frame(
-                            conn, MSG_BATCH_ACK, b"",
-                            max_frame_bytes=self.max_frame_bytes,
-                        )
-                    except (OSError, FabricError):
-                        pass  # sender resends; the dedup drops the copy
-                    conn.close()
-                else:
-                    unacked.append(conn)
+                    posted = self._posted
+                    if not posted:
+                        self._held.append(conn)
+                if posted:
+                    self._ack(conn)
         except BaseException as exc:
             with self._inbox_cond:
                 self._inbox_error = exc
         finally:
-            _flush_acks()
             with self._inbox_cond:
                 self._inbox_cond.notify_all()
 
@@ -569,7 +594,7 @@ class RankEndpoint:
         # By the time exchange runs the map/post boundary has passed
         # (run_job posts MAPS_DONE first; direct callers have no map
         # phase at all), so withheld ACKs may flush.
-        self._posted_event.set()
+        self.post()
         self.start_inbox()
 
         self_tags = (
@@ -603,12 +628,20 @@ class RankEndpoint:
         with self._inbox_cond:
             batches = [(self.rank, list(parts_for[self.rank]), self_tags)]
             batches.extend(self._inbox_batches)
+            # Not kept past the job: a resident rank would otherwise
+            # hold the last shuffle's payload until its next ASSIGN.
+            self._inbox_batches = []
         return batches
 
     # -- full worker flow --------------------------------------------------
-    def run_job(self) -> None:
-        """Handshake, then execute the complete GPMR worker dataflow.
+    def run_job(self) -> bool:
+        """Wait for the next ASSIGN, then execute the complete GPMR
+        worker dataflow for it.
 
+        Returns True once the RESULT is sent and the rank may serve
+        another job; False when the coordinator closed the control
+        connection instead of assigning one (the rank shuts down) or
+        the job failed and its traceback went upstream as an ERROR.
         Wall-clock lands in the sim's Figure-2 buckets: ``map`` covers
         the map phase, ``bin`` the exposed exchange time, ``sort`` and
         ``reduce`` are recorded inside ``reduce_worker``.
@@ -621,7 +654,10 @@ class RankEndpoint:
         stats = WorkerStats(rank=self.rank)
         posted = False
         try:
-            job = self.receive_assignment()
+            try:
+                job = self.receive_assignment()
+            except PeerDisconnected:
+                return False  # the driver closed the fabric: shut down
             if not self.rejoin:
                 # A replacement rank joins mid-run: the start barrier
                 # already released while its predecessor was alive.
@@ -663,7 +699,7 @@ class RankEndpoint:
                 max_frame_bytes=self.max_frame_bytes,
             )
             posted = True  # exchange() sends every outbound batch itself
-            self._posted_event.set()  # inbox may flush withheld ACKs
+            self.post()  # release the senders whose ACKs were withheld
             r0 = time.time()
             batches = self.exchange(mapped.parts, mapped.part_chunk_ids)
             incoming = merge_incoming(batches)
@@ -677,6 +713,7 @@ class RankEndpoint:
                 obs=self.obs if self.obs.enabled else None,
             )
             self.send_result(output, stats)
+            return True
         except BaseException:
             if not posted and self.peers:
                 # Unblock peers waiting on this rank's batch (the same
@@ -696,9 +733,14 @@ class RankEndpoint:
             # itself fails does the exception propagate — the process
             # then dies visibly and the driver's liveness watch fires.
             self.send_error(traceback.format_exc(), stats)
+            return False
 
     def close(self) -> None:
         self._inbox_stop.set()
+        with self._inbox_cond:
+            held, self._held = self._held, []
+        for conn in held:
+            conn.close()  # never ACKed: this rank did not post
         if self._control is not None:
             try:
                 self._control.close()
@@ -728,8 +770,13 @@ def run_rank(
     rejoin: bool = False,
     auth_key: Optional[bytes] = None,
 ) -> None:
-    """Join the fabric as ``rank`` and run one job end to end.
+    """Join the fabric as ``rank`` and serve jobs until the driver
+    closes it.
 
+    The rank registers once and then runs every job the coordinator
+    assigns, one after another, over the same control connection and
+    shuffle listener.  It returns when the coordinator closes the
+    connection between jobs, or after a job it reported as failed.
     The in-process entry point behind ``python -m repro.fabric.launch``
     and the process target :class:`repro.exec.cluster.ClusterExecutor`
     spawns for local ranks.  A replacement for a dead rank passes
@@ -748,4 +795,5 @@ def run_rank(
         auth_key=auth_key,
     ) as endpoint:
         endpoint.connect()
-        endpoint.run_job()
+        while endpoint.run_job():
+            pass

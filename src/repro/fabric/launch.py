@@ -10,11 +10,15 @@ then on each host::
     python -m repro.fabric.launch --coordinator driver-host:5555 --rank 0
     python -m repro.fabric.launch --coordinator driver-host:5555 --rank 1 ...
 
-Each invocation registers with the coordinator, receives its job over
-the wire, pulls chunks one at a time from the coordinator's chunk
-service (stealing from loaded peers at runtime like any other rank),
-shuffles directly with its peers, and reports its result — no code or
-data staging on the worker hosts.
+Each invocation registers with the coordinator once and then serves
+every job the driver runs: it receives the job over the wire, pulls
+chunks one at a time from the coordinator's chunk service (stealing
+from loaded peers at runtime like any other rank), shuffles directly
+with its peers, reports its result, and waits for the next job — no
+code or data staging on the worker hosts.  It exits with code 0 when
+the driver closes the executor, and after reporting a failed job (the
+driver then tears the fabric down; relaunch against its next
+coordinator).
 
 ``--listen-host`` binds the rank's shuffle listener (default
 ``0.0.0.0`` here, so peers on other hosts can reach it) and

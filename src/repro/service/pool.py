@@ -7,11 +7,10 @@ and returned warm for the next job with the same shape.  What stays
 warm between leases: the instance (no re-validation or registry
 dispatch), the process-wide shared-memory resource tracker
 (pre-started once for the local backend), the daemon-resident imports
-and, on the local backend, the resident rank processes with their
-queues and chunk-service thread — ``reset()`` keeps healthy ranks, so
-the next lease's job starts on processes that are already up.  The
-cluster backend still acquires its rank processes and fabric sockets
-inside ``run()``.
+and, on the local and cluster backends, the resident rank processes
+(with their queues and chunk-service thread, or their coordinator and
+registered fabric connections) — ``reset()`` keeps healthy ranks, so
+the next lease's job starts on processes that are already up.
 
 Every lease is stamped with the daemon's shared
 :class:`~repro.core.scheduler.JobChunkAuthority` (when the pool has

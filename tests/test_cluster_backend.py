@@ -69,7 +69,8 @@ def test_cluster_externally_launched_ranks():
     The driver runs with ``spawn_ranks=False`` and each rank is a
     separate ``python -m repro.fabric.launch`` process dialing the
     coordinator — exactly what a two-terminal / two-host run does,
-    minus the second host.
+    minus the second host.  The launched ranks serve both jobs and
+    exit cleanly when the driver closes the executor.
     """
     job, ds = _job_and_dataset(seed=8)
     n = 2
@@ -79,6 +80,7 @@ def test_cluster_externally_launched_ranks():
     def _drive():
         try:
             holder["result"] = ex.run(job, dataset=ds)
+            holder["second"] = ex.run(job, dataset=ds)
         except BaseException as exc:  # surfaced in the main thread below
             holder["error"] = exc
 
@@ -108,17 +110,18 @@ def test_cluster_externally_launched_ranks():
         )
         for r in range(n)
     ]
-    for p in ranks:
-        assert p.wait(timeout=60.0) == 0
     driver.join(timeout=60.0)
     assert "error" not in holder, holder.get("error")
+    ex.close()
+    for p in ranks:
+        assert p.wait(timeout=60.0) == 0
 
     ref = make_executor("serial", n).run(job, dataset=ds)
-    got = holder["result"]
-    for a, b in zip(ref.outputs, got.outputs):
-        assert (a is None) == (b is None)
-        if a is not None:
-            assert a.values.tobytes() == b.values.tobytes()
+    for got in (holder["result"], holder["second"]):
+        for a, b in zip(ref.outputs, got.outputs):
+            assert (a is None) == (b is None)
+            if a is not None:
+                assert a.values.tobytes() == b.values.tobytes()
 
 
 def test_cluster_rank_never_arrives_times_out_fast():

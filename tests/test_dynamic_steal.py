@@ -226,7 +226,8 @@ def test_cluster_externally_launched_ranks_steal_natively():
     """The multi-host path pulls too: ranks joining via
     ``repro.fabric.launch`` request chunks over CHUNK_REQ frames, steal
     from the longest queue, and the recorded trace closes the loop
-    through the sim."""
+    through the sim — on both of two jobs served by the same launched
+    processes, which exit cleanly when the driver closes."""
     ds = sio_dataset(40_000, chunk_elements=4_000, key_space=1 << 13, seed=103)
     # The per-chunk map delay widens the stealing window: rank 0 (the
     # loaded rank) spends ~20ms per chunk, so rank 1's first pull —
@@ -244,6 +245,7 @@ def test_cluster_externally_launched_ranks_steal_natively():
     def _drive():
         try:
             holder["result"] = ex.run(job, dataset=ds)
+            holder["second"] = ex.run(job, dataset=ds)
         except BaseException as exc:  # surfaced in the main thread below
             holder["error"] = exc
 
@@ -273,16 +275,17 @@ def test_cluster_externally_launched_ranks_steal_natively():
         )
         for r in range(n)
     ]
-    for p in ranks:
-        assert p.wait(timeout=60.0) == 0
     driver.join(timeout=60.0)
     assert "error" not in holder, holder.get("error")
+    ex.close()
+    for p in ranks:
+        assert p.wait(timeout=60.0) == 0
 
-    real = holder["result"]
-    trace = real.schedule
-    assert isinstance(trace, ScheduleTrace)
-    assert trace.total_steals > 0, "external rank 1 never stole from rank 0"
-    assert trace.steals_by_worker(n) == real.stats.steals_by_worker
-    sim = make_executor("sim", n).run(job, dataset=ds, schedule=trace)
-    _assert_same_run(real, sim, "sio/external-ranks-native")
-    sio_validate(real, ds)
+    for real in (holder["result"], holder["second"]):
+        trace = real.schedule
+        assert isinstance(trace, ScheduleTrace)
+        assert trace.total_steals > 0, "external rank 1 never stole from rank 0"
+        assert trace.steals_by_worker(n) == real.stats.steals_by_worker
+        sim = make_executor("sim", n).run(job, dataset=ds, schedule=trace)
+        _assert_same_run(real, sim, "sio/external-ranks-native")
+        sio_validate(real, ds)

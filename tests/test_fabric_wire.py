@@ -614,6 +614,43 @@ def test_stray_connection_does_not_abort_shuffle():
         b.close()
 
 
+def test_held_batch_ack_is_sent_when_the_receiver_posts():
+    """A batch that fully arrives before the receiver posts is held
+    unacknowledged, and the post itself releases it: the sender's
+    confirmed send returns right after the post, not when the inbox
+    thread's accept next times out."""
+    a = RankEndpoint(0, ("127.0.0.1", 1), timeout_seconds=10.0)
+    b = RankEndpoint(1, ("127.0.0.1", 1), timeout_seconds=10.0)
+    a.n_workers = b.n_workers = 2
+    a.peers = b.peers = {0: a.shuffle_address, 1: b.shuffle_address}
+    parts_for = [[KeyValueSet(keys=np.arange(4, dtype=np.uint32),
+                              values=np.ones(4))]] * 2
+    done = {}
+
+    def _b_exchange():
+        b.exchange(parts_for)  # b posts at once; its send to a waits
+        done["b"] = time.perf_counter()
+
+    try:
+        a.start_inbox()  # a is still "mapping": not posted
+        tb = threading.Thread(target=_b_exchange, daemon=True)
+        tb.start()
+        with a._inbox_cond:
+            assert a._inbox_cond.wait_for(lambda: 1 in a._inbox_have, 5.0)
+        time.sleep(0.02)
+        assert "b" not in done, "ACK sent before the receiver posted"
+        posted = time.perf_counter()
+        a.exchange(parts_for)  # posts, then ships a's own batch to b
+        tb.join(timeout=10.0)
+        assert not tb.is_alive() and "b" in done, "b's exchange never returned"
+        assert done["b"] - posted < 0.05, (
+            f"sender released {done['b'] - posted:.3f}s after the post"
+        )
+    finally:
+        a.close()
+        b.close()
+
+
 def test_error_frame_at_barrier_surfaces_rank_traceback():
     """A rank that fails before the barrier reports its traceback as
     RankFailure, not as a framing ProtocolError."""

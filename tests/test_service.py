@@ -242,6 +242,23 @@ def test_pool_keeps_local_ranks_warm_across_leases():
     assert ex.closed and ex.rank_pids == []
 
 
+def test_pool_keeps_cluster_ranks_warm_across_leases():
+    ds = sio_dataset(**SIO_SPEC)
+    with ExecutorPool() as pool:
+        ex = pool.lease("cluster", 2)
+        run_sio(2, ds, backend="cluster", executor=ex)
+        pids = ex.rank_pids
+        address = ex.coordinator_address
+        pool.release(ex)
+        again = pool.lease("cluster", 2)
+        assert again is ex
+        run_sio(2, ds, backend="cluster", executor=again)
+        assert again.rank_pids == pids
+        assert again.coordinator_address == address
+        pool.release(again)
+    assert ex.closed and ex.rank_pids == []
+
+
 def test_pool_closed_lease_raises():
     pool = ExecutorPool()
     pool.close()
